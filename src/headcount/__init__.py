@@ -30,7 +30,6 @@ from .engine import (
     Engine,
     EngineConfig,
     LatencyStats,
-    LightingConfig,
     RunResult,
     bench,
     calibrate,
@@ -38,7 +37,6 @@ from .engine import (
     run_frames,
 )
 from .ingest import (
-    CROP_RESOLUTION,
     DEFAULT_EMBEDDING_DIM,
     BoundingBox,
     DetectionClass,
@@ -46,7 +44,6 @@ from .ingest import (
     EmbeddingDimensionError,
     FrameRecord,
     LightingMode,
-    PixelSample,
     StreamError,
     StreamOrderError,
     StreamParseError,
@@ -70,7 +67,6 @@ from .simulator import (
     generate,
     make_scenario,
     random_crossings,
-    scenario_suite,
     write_ground_truth,
 )
 from .tracker import (
@@ -83,8 +79,6 @@ from .tracker import (
     TrackerConfig,
     associate,
     build_matrices,
-    feature_distance,
-    spatial_distance,
 )
 
 __version__ = "0.1.0"

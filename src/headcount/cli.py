@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from .counter import write_events
 from .engine import ConfigError, EngineConfig, bench, calibrate, run
-from .ingest import StreamError, write_stream
+from .ingest import DEFAULT_EMBEDDING_DIM, StreamError, write_stream
 from .simulator import generate, make_scenario, write_ground_truth
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ def _cmd_run(args, config: EngineConfig) -> int:
 
 
 def _cmd_simulate(args, config: EngineConfig) -> int:
-    dim = args.embedding_dim or config.embedding_dim or 1024
+    dim = args.embedding_dim or config.embedding_dim or DEFAULT_EMBEDDING_DIM
     spec = make_scenario(args.scenario, dim)
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)

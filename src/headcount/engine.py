@@ -25,7 +25,7 @@ from .counter import (
     tally,
     update_history,
 )
-from .ingest import FrameRecord, filter_heads, parse_stream
+from .ingest import DEFAULT_EMBEDDING_DIM, FrameRecord, filter_heads, parse_stream
 from .simulator import ScenarioSpec, generate, make_scenario, evaluate
 from .tracker import FeatureMetric, Tracker, TrackerConfig
 
@@ -35,21 +35,6 @@ WARMUP_FRAMES = 50
 
 class ConfigError(ValueError):
     """Invalid engine configuration (bad field, value, or file)."""
-
-
-@dataclass(frozen=True)
-class LightingConfig:
-    channel_tolerance: int = 2
-    agreement_fraction: float = 0.99
-    sample_grid: tuple[int, int] = (10, 10)
-
-    def __post_init__(self):
-        if self.channel_tolerance < 0:
-            raise ConfigError("channel_tolerance must be >= 0")
-        if not 0.0 < self.agreement_fraction <= 1.0:
-            raise ConfigError("agreement_fraction must be in (0, 1]")
-        if len(self.sample_grid) != 2 or min(self.sample_grid) < 1:
-            raise ConfigError("sample_grid must be two positive integers")
 
 
 @dataclass(frozen=True)
@@ -63,7 +48,6 @@ class EngineConfig:
     tracker: TrackerConfig = TrackerConfig()
     layout: RegionLayout = DEFAULT_LAYOUT
     min_confidence: float = 0.5
-    lighting: LightingConfig = LightingConfig()
     embedding_dim: Optional[int] = None
 
     def __post_init__(self):
@@ -76,7 +60,7 @@ class EngineConfig:
     def from_dict(cls, data: dict) -> "EngineConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"tracker", "layout", "min_confidence", "lighting", "embedding_dim"}
+        known = {"tracker", "layout", "min_confidence", "embedding_dim"}
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
@@ -89,15 +73,10 @@ class EngineConfig:
             if "orientation" in layout_data:
                 layout_data["orientation"] = Orientation(layout_data["orientation"])
             layout = RegionLayout(**layout_data)
-            lighting_data = dict(data.get("lighting", {}))
-            if "sample_grid" in lighting_data:
-                lighting_data["sample_grid"] = tuple(lighting_data["sample_grid"])
-            lighting = LightingConfig(**lighting_data)
             return cls(
                 tracker=tracker,
                 layout=layout,
                 min_confidence=float(data.get("min_confidence", 0.5)),
-                lighting=lighting,
                 embedding_dim=data.get("embedding_dim"),
             )
         except ConfigError:
@@ -119,11 +98,6 @@ class EngineConfig:
                 "orientation": self.layout.orientation.value,
             },
             "min_confidence": self.min_confidence,
-            "lighting": {
-                "channel_tolerance": self.lighting.channel_tolerance,
-                "agreement_fraction": self.lighting.agreement_fraction,
-                "sample_grid": list(self.lighting.sample_grid),
-            },
             "embedding_dim": self.embedding_dim,
         }
 
@@ -203,7 +177,7 @@ class Engine:
         mode = frame.lighting
         self.lighting_counts[mode.value if mode is not None else "unknown"] += 1
         heads = filter_heads(frame, self.config.min_confidence)
-        self.tracker.step(heads, frame.frame_id, self.config.layout)
+        self.tracker.step(heads, frame.frame_id)
         events: list[CrossingEvent] = []
         for track in self.tracker.objects:
             region = classify_region(track.center[1], self.config.layout)
@@ -238,6 +212,17 @@ class RunResult:
         }
 
 
+def _timed_frames(engine: Engine, frames: Iterable[FrameRecord]) -> list[tuple[int, float]]:
+    """Process frames in order; one (live tracks, us in process_frame) sample each."""
+    samples: list[tuple[int, float]] = []
+    for frame in frames:
+        t0 = time.perf_counter_ns()
+        engine.process_frame(frame)
+        elapsed_us = (time.perf_counter_ns() - t0) / 1000.0
+        samples.append((len(engine.tracker.objects), elapsed_us))
+    return samples
+
+
 def run(source, config: Optional[EngineConfig] = None) -> RunResult:
     """Process a detection stream end to end.
 
@@ -251,14 +236,8 @@ def run(source, config: Optional[EngineConfig] = None) -> RunResult:
 
 def run_frames(frames: Iterable[FrameRecord], config: Optional[EngineConfig] = None) -> RunResult:
     """Like run(), for frames that are already parsed (no stream decoding)."""
-    cfg = config or EngineConfig()
-    engine = Engine(cfg)
-    samples: list[tuple[int, float]] = []
-    for frame in frames:
-        t0 = time.perf_counter_ns()
-        engine.process_frame(frame)
-        elapsed_us = (time.perf_counter_ns() - t0) / 1000.0
-        samples.append((len(engine.tracker.objects), elapsed_us))
+    engine = Engine(config or EngineConfig())
+    samples = _timed_frames(engine, frames)
     return RunResult(
         ledger=engine.ledger,
         bench=BenchReport.from_samples(samples),
@@ -283,17 +262,12 @@ def bench(
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
     cfg = config or EngineConfig()
-    dim = embedding_dim or cfg.embedding_dim or 1024
+    dim = embedding_dim or cfg.embedding_dim or DEFAULT_EMBEDDING_DIM
     frame_sets = [generate(make_scenario(name, dim), cfg.layout)[0] for name in scenario_names]
     samples: list[tuple[int, float]] = []
     for _ in range(repetitions):
         for frames in frame_sets:
-            engine = Engine(cfg)
-            for frame in frames:
-                t0 = time.perf_counter_ns()
-                engine.process_frame(frame)
-                elapsed_us = (time.perf_counter_ns() - t0) / 1000.0
-                samples.append((len(engine.tracker.objects), elapsed_us))
+            samples.extend(_timed_frames(Engine(cfg), frames))
     return BenchReport.from_samples(samples)
 
 
@@ -324,7 +298,7 @@ def calibrate(
     is fully deterministic.
     """
     cfg = config or EngineConfig()
-    dim = cfg.embedding_dim or 1024
+    dim = cfg.embedding_dim or DEFAULT_EMBEDDING_DIM
     feature_values = list(grid.get("feature_threshold", [cfg.tracker.feature_threshold]))
     spatial_values = list(grid.get("spatial_threshold", [cfg.tracker.spatial_threshold]))
     miss_values = list(grid.get("miss_limit", [cfg.tracker.miss_limit]))

@@ -13,9 +13,9 @@ distraction classes (chair, trolley, bag). Box coordinates are normalized to
 [0, 1] with the origin at the top-left and y growing downward, which keeps
 every downstream threshold independent of camera resolution.
 
-Upstream contract carried as metadata: head crops are expected at
-CROP_RESOLUTION before embedding extraction, and embeddings default to
-DEFAULT_EMBEDDING_DIM components.
+Every record is validated here, once, as it enters: the tracker and counter
+trust what `parse_stream` yields. Embeddings default to DEFAULT_EMBEDDING_DIM
+components.
 """
 from __future__ import annotations
 
@@ -26,8 +26,6 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-# Upstream detector/extractor contract, not enforced by the engine itself.
-CROP_RESOLUTION = (120, 120, 3)
 DEFAULT_EMBEDDING_DIM = 1024
 
 
@@ -66,12 +64,14 @@ class EmbeddingDimensionError(StreamError):
 
 
 def validate_embedding(values) -> np.ndarray:
-    """Coerce to a 1-D float vector with finite components."""
+    """Coerce to a 1-D float vector with finite components and a non-zero norm."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("embedding must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("embedding components must be finite")
+    if not arr @ arr > 0.0:
+        raise ValueError("embedding has zero norm: cosine distance is undefined for a zero vector")
     return arr
 
 
@@ -124,30 +124,12 @@ class FrameRecord:
     lighting: Optional[LightingMode] = None
 
 
-@dataclass(frozen=True)
-class PixelSample:
-    """RGB channel values of one sampled pixel."""
-
-    r: int
-    g: int
-    b: int
-
-    def __post_init__(self):
-        for v in (self.r, self.g, self.b):
-            if not 0 <= v <= 255:
-                raise ValueError(f"channel values must be in [0, 255], got {v}")
-
-    @property
-    def spread(self) -> int:
-        return max(self.r, self.g, self.b) - min(self.r, self.g, self.b)
-
-
 def classify_lighting(
-    samples: list[PixelSample],
+    samples: np.ndarray,
     channel_tolerance: int = 2,
     agreement_fraction: float = 0.99,
 ) -> LightingMode:
-    """Decide day vs night from sampled pixels.
+    """Decide day vs night from sampled pixels, an (N, 3) array of RGB values.
 
     IR night mode produces grayscale frames where the three channels of every
     pixel are equal. Compressed video breaks exact equality, so a sample
@@ -155,20 +137,24 @@ def classify_lighting(
     and the frame is night when at least `agreement_fraction` of samples
     agree. With tolerance 0 and fraction 1.0 this reduces to the exact rule.
     """
-    if not samples:
-        raise ValueError("classify_lighting requires at least one pixel sample")
+    pixels = np.asarray(samples)
+    if pixels.ndim != 2 or pixels.shape[1] != 3 or len(pixels) == 0:
+        raise ValueError(f"expected an (N, 3) array of RGB samples, N >= 1, got {pixels.shape}")
+    if pixels.min() < 0 or pixels.max() > 255:
+        raise ValueError("channel values must be in [0, 255]")
     if channel_tolerance < 0:
         raise ValueError("channel_tolerance must be >= 0")
     if not 0.0 < agreement_fraction <= 1.0:
         raise ValueError("agreement_fraction must be in (0, 1]")
-    agreeing = sum(1 for s in samples if s.spread <= channel_tolerance)
-    if agreeing / len(samples) >= agreement_fraction:
+    spread = pixels.max(axis=1) - pixels.min(axis=1)
+    agreeing = int(np.count_nonzero(spread <= channel_tolerance))
+    if agreeing / len(pixels) >= agreement_fraction:
         return LightingMode.NIGHT
     return LightingMode.DAY
 
 
-def sample_pixel_grid(image, grid: tuple[int, int] = (10, 10)) -> list[PixelSample]:
-    """Sample an H x W x 3 image on a uniform grid for classify_lighting."""
+def sample_pixel_grid(image, grid: tuple[int, int] = (10, 10)) -> np.ndarray:
+    """Sample an H x W x 3 image on a uniform grid, row by row, as an (N, 3) array."""
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] < 3:
         raise ValueError(f"expected an H x W x 3 image, got shape {img.shape}")
@@ -176,11 +162,7 @@ def sample_pixel_grid(image, grid: tuple[int, int] = (10, 10)) -> list[PixelSamp
         raise ValueError("grid must have at least one row and one column")
     rows = np.linspace(0, img.shape[0] - 1, grid[0]).round().astype(int)
     cols = np.linspace(0, img.shape[1] - 1, grid[1]).round().astype(int)
-    return [
-        PixelSample(int(img[r, c, 0]), int(img[r, c, 1]), int(img[r, c, 2]))
-        for r in rows
-        for c in cols
-    ]
+    return img[np.ix_(rows, cols)][..., :3].reshape(-1, 3)
 
 
 def filter_heads(frame: FrameRecord, min_confidence: float = 0.5) -> list[DetectionRecord]:
@@ -215,11 +197,17 @@ def _detection_from_obj(obj: dict, line_number: int) -> DetectionRecord:
     raw_box = _require(obj, "box", line_number)
     if not (isinstance(raw_box, (list, tuple)) and len(raw_box) == 4):
         raise StreamParseError("box must be [x_min, y_min, x_max, y_max]", line_number)
+    raw_conf = _require(obj, "conf", line_number)
+    # type(), not isinstance(): a JSON true is a bool, an int subclass, and must not read as 1
+    if any(type(v) not in (int, float) for v in (raw_conf, *raw_box)):
+        raise StreamParseError(
+            f"conf and box values must be JSON numbers, got {raw_conf!r} and {raw_box!r}", line_number
+        )
     try:
         box = BoundingBox(*(float(v) for v in raw_box))
         return DetectionRecord(
             class_label=label,
-            confidence=float(_require(obj, "conf", line_number)),
+            confidence=float(raw_conf),
             box=box,
             embedding=obj.get("emb"),
         )
@@ -241,11 +229,12 @@ def _frame_from_obj(obj, line_number: int) -> FrameRecord:
     raw_dets = obj.get("detections", [])
     if not isinstance(raw_dets, list):
         raise StreamParseError("detections must be an array", line_number)
-    try:
-        frame_id = int(_require(obj, "frame_id", line_number))
-        ts_ms = int(_require(obj, "ts_ms", line_number))
-    except (TypeError, ValueError) as exc:
-        raise StreamParseError(str(exc), line_number) from None
+    frame_id = _require(obj, "frame_id", line_number)
+    ts_ms = _require(obj, "ts_ms", line_number)
+    if type(frame_id) is not int or type(ts_ms) is not int:
+        raise StreamParseError(
+            f"frame_id and ts_ms must be JSON integers, got {frame_id!r} and {ts_ms!r}", line_number
+        )
     detections = [_detection_from_obj(d, line_number) for d in raw_dets]
     return FrameRecord(frame_id=frame_id, timestamp_ms=ts_ms, detections=detections, lighting=lighting)
 

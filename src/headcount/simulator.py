@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .counter import (
     classify_region,
     update_history,
 )
-from .ingest import BoundingBox, DetectionClass, DetectionRecord, FrameRecord
+from .ingest import DEFAULT_EMBEDDING_DIM, BoundingBox, DetectionClass, DetectionRecord, FrameRecord
 
 HEAD_BOX_SIZE = 0.08
 HEAD_CONFIDENCE = 0.95
@@ -338,7 +338,7 @@ def catalog_names() -> list[str]:
     return sorted(_CATALOG) + ["dropout_<k>"]
 
 
-def make_scenario(name: str, embedding_dim: int = 1024) -> ScenarioSpec:
+def make_scenario(name: str, embedding_dim: int = DEFAULT_EMBEDDING_DIM) -> ScenarioSpec:
     """Build one canned scenario by name; dropout_<k> takes the gap length."""
     if embedding_dim < 1:
         raise ValueError("embedding_dim must be positive")
@@ -355,18 +355,13 @@ def make_scenario(name: str, embedding_dim: int = 1024) -> ScenarioSpec:
     return builder(embedding_dim)
 
 
-def scenario_suite(names: Iterable[str], embedding_dim: int = 1024) -> list[ScenarioSpec]:
-    """Resolve a list of catalog names into scenario specs."""
-    return [make_scenario(name, embedding_dim) for name in names]
-
-
 def random_crossings(
     seed: int,
     actors: int = 4,
     crossing_frames: int = 50,
     stagger: int = 45,
     noise: NoiseSpec = NoiseSpec(),
-    embedding_dim: int = 1024,
+    embedding_dim: int = DEFAULT_EMBEDDING_DIM,
 ) -> ScenarioSpec:
     """Randomized multi-actor scenario: each actor makes one full crossing.
 

@@ -14,14 +14,13 @@ leave essentially the whole real-time budget to the upstream detector.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .counter import Region, RegionLayout, classify_region
+from .counter import Region
 from .ingest import BoundingBox, DetectionRecord
 
 
@@ -75,14 +74,6 @@ class DistanceMatrices:
             raise ValueError(
                 f"matrix shapes differ: {self.feature.shape} vs {self.spatial.shape}"
             )
-        if self.feature.size and not (
-            np.all(np.isfinite(self.feature)) and np.all(self.feature >= 0)
-        ):
-            raise ValueError("feature distances must be finite and non-negative")
-        if self.spatial.size and not (
-            np.all(np.isfinite(self.spatial)) and np.all(self.spatial >= 0)
-        ):
-            raise ValueError("spatial distances must be finite and non-negative")
 
 
 @dataclass
@@ -94,51 +85,23 @@ class AssignmentResult:
     unmatched_detections: list[int]
 
 
-def feature_distance(a, b, metric: FeatureMetric = FeatureMetric.COSINE) -> float:
-    """Appearance distance between two embeddings.
-
-    Cosine distance is 1 - cos(a, b), clamped into [0, 2]; euclidean is the
-    plain vector norm of the difference. Both are symmetric.
-    """
-    va = np.asarray(a, dtype=float)
-    vb = np.asarray(b, dtype=float)
-    if va.ndim != 1 or va.shape != vb.shape:
-        raise ValueError(f"embedding dimensions differ: {va.shape} vs {vb.shape}")
-    if metric is FeatureMetric.COSINE:
-        norm_a = float(np.linalg.norm(va))
-        norm_b = float(np.linalg.norm(vb))
-        if norm_a == 0.0 or norm_b == 0.0:
-            raise ValueError("cosine distance is undefined for a zero vector")
-        dist = 1.0 - float(np.dot(va, vb)) / (norm_a * norm_b)
-        return min(2.0, max(0.0, dist))
-    return float(np.linalg.norm(va - vb))
-
-
-def spatial_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
-    """Euclidean distance between two box centers in normalized coordinates."""
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
 def build_matrices(
     registered: Sequence[TrackedObject],
     detections: Sequence[DetectionRecord],
     config: TrackerConfig,
 ) -> DistanceMatrices:
-    """Compute the feature and spatial distance matrices for one frame."""
+    """Compute the feature and spatial distance matrices for one frame.
+
+    Embeddings are used as `validate_embedding` left them: finite and non-zero.
+    """
     m, n = len(registered), len(detections)
     if m == 0 or n == 0:
         return DistanceMatrices(np.zeros((m, n)), np.zeros((m, n)))
-    track_emb = np.stack([t.embedding for t in registered]).astype(float)
-    det_emb = np.stack([np.asarray(d.embedding, dtype=float) for d in detections])
-    if track_emb.shape[1] != det_emb.shape[1]:
-        raise ValueError(
-            f"embedding dimensions differ: {track_emb.shape[1]} vs {det_emb.shape[1]}"
-        )
+    track_emb = np.stack([t.embedding for t in registered])
+    det_emb = np.stack([d.embedding for d in detections])
     if config.feature_metric is FeatureMetric.COSINE:
         track_norms = np.linalg.norm(track_emb, axis=1, keepdims=True)
         det_norms = np.linalg.norm(det_emb, axis=1, keepdims=True)
-        if np.any(track_norms == 0.0) or np.any(det_norms == 0.0):
-            raise ValueError("cosine distance is undefined for a zero vector")
         feature = 1.0 - (track_emb / track_norms) @ (det_emb / det_norms).T
         np.clip(feature, 0.0, 2.0, out=feature)
     else:
@@ -215,17 +178,15 @@ class Tracker:
         self,
         detections: Sequence[DetectionRecord],
         frame_id: int,
-        layout: Optional[RegionLayout] = None,
     ) -> StepReport:
         """Advance one frame: match, register, age, and evict.
 
         Detections must already be head-filtered. Matched tracks adopt the
         detection's embedding, box, and center outright (no averaging) and
-        reset their miss count. Unmatched detections become new tracks; when a
-        layout is supplied their region history is seeded with the region they
-        appear in, wherever that is. Unmatched tracks age by one miss, and
-        anything whose miss count exceeds the limit is removed before the step
-        returns; ids are never reused.
+        reset their miss count. Unmatched detections become new tracks with an
+        empty region history, which the counter fills. Unmatched tracks age by
+        one miss, and anything whose miss count exceeds the limit is removed
+        before the step returns; ids are never reused.
         """
         matrices = build_matrices(self.objects, detections, self.config)
         result = associate(matrices, self.config)
@@ -235,7 +196,7 @@ class Tracker:
         for i, j in result.matches:
             track = self.objects[i]
             det = detections[j]
-            track.embedding = np.asarray(det.embedding, dtype=float)
+            track.embedding = det.embedding
             track.box = det.box
             track.center = det.box.center
             track.e_count = 0
@@ -247,15 +208,13 @@ class Tracker:
             det = detections[j]
             track = TrackedObject(
                 id=self._next_id,
-                embedding=np.asarray(det.embedding, dtype=float),
+                embedding=det.embedding,
                 box=det.box,
                 center=det.box.center,
                 e_count=0,
                 last_seen_frame=frame_id,
             )
             self._next_id += 1
-            if layout is not None:
-                track.region_history.append(classify_region(track.center[1], layout))
             self.objects.append(track)
             created.append(track.id)
         survivors = []

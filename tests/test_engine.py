@@ -111,7 +111,8 @@ class TestEngineConfig:
             {"min_confidence": 1.5},
             {"embedding_dim": 0},
             {"mystery": 1},
-            {"lighting": {"agreement_fraction": 0.0}},
+            # the old default value: only an unknown field can reject it
+            {"lighting": {"agreement_fraction": 0.99}},
         ],
     )
     def test_invalid_configs(self, data):

@@ -13,7 +13,6 @@ from headcount.ingest import (
     EmbeddingDimensionError,
     FrameRecord,
     LightingMode,
-    PixelSample,
     StreamOrderError,
     StreamParseError,
     classify_lighting,
@@ -68,33 +67,39 @@ class TestDetectionRecord:
 
 class TestClassifyLighting:
     def test_pure_grayscale_is_night(self):
-        samples = [PixelSample(77, 77, 77)] * 100
+        samples = np.full((100, 3), 77)
         assert classify_lighting(samples, 0, 0.99) is LightingMode.NIGHT
 
     def test_saturated_color_is_day(self):
-        samples = [PixelSample(200, 40, 40)] * 100
+        samples = np.tile([200, 40, 40], (100, 1))
         assert classify_lighting(samples, 2, 0.99) is LightingMode.DAY
 
     def test_agreement_fraction_boundary(self):
-        samples = [PixelSample(50, 50, 50)] * 98 + [PixelSample(80, 50, 60)] * 2
+        samples = np.array([(50, 50, 50)] * 98 + [(80, 50, 60)] * 2)
         # Direct enumeration: 98 of 100 samples are within tolerance 2.
-        agreeing = sum(1 for s in samples if s.spread <= 2)
+        agreeing = sum(1 for r, g, b in samples.tolist() if max(r, g, b) - min(r, g, b) <= 2)
         assert agreeing == 98
         assert classify_lighting(samples, 2, 0.99) is LightingMode.DAY
         assert classify_lighting(samples, 2, 0.95) is LightingMode.NIGHT
 
     def test_exact_rule_with_zero_tolerance_full_agreement(self):
-        exact = [PixelSample(10, 10, 10), PixelSample(200, 200, 200)]
-        assert classify_lighting(exact, 0, 1.0) is LightingMode.NIGHT
-        assert classify_lighting(exact + [PixelSample(10, 11, 10)], 0, 1.0) is LightingMode.DAY
+        exact = [(10, 10, 10), (200, 200, 200)]
+        assert classify_lighting(np.array(exact), 0, 1.0) is LightingMode.NIGHT
+        assert classify_lighting(np.array(exact + [(10, 11, 10)]), 0, 1.0) is LightingMode.DAY
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            classify_lighting([], 2, 0.99)
+            classify_lighting(np.empty((0, 3)), 2, 0.99)
         with pytest.raises(ValueError):
-            classify_lighting([PixelSample(1, 1, 1)], -1, 0.99)
+            classify_lighting(np.ones((4, 2)), 2, 0.99)
         with pytest.raises(ValueError):
-            classify_lighting([PixelSample(1, 1, 1)], 2, 0.0)
+            classify_lighting(np.array([[1, 256, 1]]), 2, 0.99)
+        with pytest.raises(ValueError):
+            classify_lighting(np.array([[1, -1, 1]]), 2, 0.99)
+        with pytest.raises(ValueError):
+            classify_lighting(np.ones((1, 3)), -1, 0.99)
+        with pytest.raises(ValueError):
+            classify_lighting(np.ones((1, 3)), 2, 0.0)
 
     @given(
         st.lists(
@@ -108,11 +113,10 @@ class TestClassifyLighting:
         st.integers(0, 8),
     )
     def test_permutation_invariant(self, triples, rnd, tolerance):
-        samples = [PixelSample(*t) for t in triples]
-        shuffled = list(samples)
+        shuffled = list(triples)
         rnd.shuffle(shuffled)
-        assert classify_lighting(samples, tolerance, 0.9) is classify_lighting(
-            shuffled, tolerance, 0.9
+        assert classify_lighting(np.array(triples), tolerance, 0.9) is classify_lighting(
+            np.array(shuffled), tolerance, 0.9
         )
 
 
@@ -121,8 +125,8 @@ class TestSamplePixelGrid:
         img = np.zeros((40, 60, 3), dtype=np.uint8)
         img[:, :, 0] = 7
         samples = sample_pixel_grid(img, (10, 10))
-        assert len(samples) == 100
-        assert all(s == PixelSample(7, 0, 0) for s in samples)
+        assert samples.shape == (100, 3)
+        assert np.array_equal(samples, np.tile([7, 0, 0], (100, 1)))
 
     def test_rejects_non_image(self):
         with pytest.raises(ValueError):
@@ -215,6 +219,39 @@ class TestParseStream:
             list(parse_stream(src))
         assert err.value.line_number == 2
 
+    def test_zero_norm_embedding_names_its_line(self):
+        src = stream_lines(
+            frame_obj(0, 0, [det_obj()]),
+            frame_obj(1, 50, [det_obj()]),
+            frame_obj(2, 100, [det_obj(emb=(0.0, 0.0))]),
+        )
+        with pytest.raises(StreamParseError, match="zero vector") as err:
+            list(parse_stream(src))
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("frame_id", 1.5),
+            ("frame_id", True),
+            ("frame_id", "7"),
+            ("ts_ms", 50.0),
+            ("conf", True),
+            ("conf", "0.9"),
+            ("box", [0.4, 0.4, True, 0.5]),
+            ("box", ["0.4", 0.4, 0.5, 0.5]),
+        ],
+    )
+    def test_numbers_are_not_coerced(self, field, value):
+        bad = frame_obj(1, 50, [det_obj()])
+        if field in ("conf", "box"):
+            bad["detections"][0][field] = value
+        else:
+            bad[field] = value
+        with pytest.raises(StreamParseError) as err:
+            list(parse_stream(stream_lines(frame_obj(0, 0), bad)))
+        assert err.value.line_number == 2
+
     def test_embedding_dimension_configured(self):
         src = stream_lines(frame_obj(0, 0, [det_obj(emb=(1.0, 0.0))]))
         with pytest.raises(EmbeddingDimensionError):
@@ -252,9 +289,10 @@ frames_strategy = st.builds(
             class_label=st.sampled_from(list(DetectionClass)),
             confidence=st.floats(0, 1, allow_nan=False),
             box=st.just(BoundingBox(0.4, 0.4, 0.5, 0.5)),
+            # zero-norm embeddings are invalid input, rejected by validate_embedding
             embedding=st.lists(
                 st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=2, max_size=2
-            ).map(np.asarray),
+            ).map(np.asarray).filter(lambda v: v @ v > 0.0),
         ),
         max_size=4,
     ),

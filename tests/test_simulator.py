@@ -17,7 +17,6 @@ from headcount.simulator import (
     generate,
     make_scenario,
     random_crossings,
-    scenario_suite,
     write_ground_truth,
 )
 
@@ -74,7 +73,7 @@ class TestCatalog:
 
     def test_suite_resolves_all_names(self):
         names = ["clean_entry", "clean_exit", "oscillation", "crossing_pair", "multi_3"]
-        specs = scenario_suite(names, DIM)
+        specs = [make_scenario(name, DIM) for name in names]
         assert [s.name for s in specs] == names
 
     def test_catalog_names_stable(self):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headcount.counter import DEFAULT_LAYOUT, Region
 from headcount.ingest import BoundingBox, DetectionClass, DetectionRecord
 from headcount.tracker import (
     DistanceMatrices,
@@ -15,11 +14,9 @@ from headcount.tracker import (
     TrackerConfig,
     associate,
     build_matrices,
-    feature_distance,
-    spatial_distance,
 )
 
-from oracles import greedy_gated_assignment
+from oracles import feature_distance, greedy_gated_assignment, spatial_distance
 
 
 def detection(x=0.5, y=0.5, emb=(1.0, 0.0), conf=0.95, size=0.08):
@@ -282,14 +279,6 @@ class TestTrackerStep:
         assert tracker.objects == []
         report = tracker.step([detection()], 3)
         assert report.created_ids == [2]
-
-    def test_region_seeding_with_layout(self):
-        tracker = Tracker(config())
-        tracker.step([detection(y=0.5)], 0, layout=DEFAULT_LAYOUT)
-        assert tracker.objects[0].region_history == [Region.B]
-        tracker.step([detection(x=0.1, y=0.1, emb=(0.0, 1.0))], 1, layout=DEFAULT_LAYOUT)
-        born_outside = [t for t in tracker.objects if t.id == 2][0]
-        assert born_outside.region_history == [Region.A]
 
     def test_no_track_exceeds_miss_limit_after_step(self):
         rng = np.random.default_rng(11)
