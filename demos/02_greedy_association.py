@@ -14,19 +14,19 @@ config = hc.TrackerConfig(feature_threshold=0.5, spatial_threshold=0.1)
 # --- a clean 2x2 case: the diagonal is obviously right
 feature = np.array([[0.10, 0.90], [0.80, 0.20]])
 spatial = np.zeros((2, 2))
-result = hc.associate(hc.DistanceMatrices(feature.copy(), spatial), config)
+result = hc.associate(hc.DistanceMatrices(feature, spatial), config)
 print("diagonal case matches:", result.matches)
 
 # --- greed is not optimality: picking 0.1 first forces (1, 0) at 0.2
 feature = np.array([[0.30, 0.10], [0.20, 0.15]])
 wide = hc.TrackerConfig(feature_threshold=0.5, spatial_threshold=1.0)
-result = hc.associate(hc.DistanceMatrices(feature.copy(), np.zeros((2, 2))), wide)
+result = hc.associate(hc.DistanceMatrices(feature, np.zeros((2, 2))), wide)
 print("greedy order matches:  ", result.matches, "(argmin 0.10 went first)")
 
 # --- the spatial gate vetoes lookalikes that teleport across the frame
 feature = np.array([[0.10]])
 spatial = np.array([[0.20]])  # farther than the 0.1 gate
-result = hc.associate(hc.DistanceMatrices(feature.copy(), spatial), config)
+result = hc.associate(hc.DistanceMatrices(feature, spatial), config)
 print("gated case matches:    ", result.matches, "- appearance alone is not enough")
 
 # --- full tracker steps: ids persist across misses up to the limit

@@ -1,11 +1,10 @@
 """Greedy appearance-feature tracking.
 
-Each frame, detections are matched to registered tracks by repeatedly taking
-the globally smallest entry of the feature-distance matrix, subject to a
-spatial gate: a pair farther apart than the spatial threshold is never
-matched no matter how similar it looks. Rejected and consumed cells are
-overwritten with the feature threshold so they can never be selected again,
-which is what guarantees the loop terminates. Tracks missing from the frame
+Each frame, detections are matched to registered tracks in ascending order
+of feature distance, subject to a spatial gate: a pair farther apart than the
+spatial threshold is never matched no matter how similar it looks. The
+candidate pairs are sorted once and walked once, so a frame costs
+O(mn log mn) for m tracks and n detections. Tracks missing from the frame
 accumulate a consecutive-miss count and are evicted once it exceeds the miss
 limit; unmatched detections register as fresh tracks with new ids.
 
@@ -55,15 +54,14 @@ class TrackedObject:
     center: tuple[float, float]
     e_count: int = 0  # consecutive detection misses
     region_history: list[Region] = field(default_factory=list)
-    last_seen_frame: int = -1
 
 
 @dataclass
 class DistanceMatrices:
     """Per-frame cost state: rows are registered tracks, columns detections.
 
-    `feature` is consumed as scratch by `associate`; both matrices are rebuilt
-    every frame.
+    Both matrices are rebuilt every frame; `associate` reads them and leaves
+    them unchanged.
     """
 
     feature: np.ndarray
@@ -117,32 +115,34 @@ def build_matrices(
 def associate(matrices: DistanceMatrices, config: TrackerConfig) -> AssignmentResult:
     """Greedy gated assignment over the distance matrices.
 
-    Repeatedly select the smallest remaining feature distance. If its row or
-    column is already taken, or the pair fails the spatial gate, the cell is
-    burned to the feature threshold and the loop moves on; otherwise the pair
-    is matched and its cell burned likewise. The loop stops when the match
-    count reaches min(rows, cols) or no cell is strictly below the feature
-    threshold. Ties resolve to the lowest row, then lowest column. The feature
-    matrix is consumed as scratch.
+    The candidates are the cells strictly below the feature threshold whose
+    spatial distance passes the gate (a cell is rejected when it is > the
+    spatial threshold). One stable sort orders them by ascending feature
+    distance, ties resolving to the lowest row, then lowest column; one walk
+    over that order matches each cell whose row and column are both still
+    free, and stops once min(rows, cols) pairs are matched. This is the
+    matching a repeated global argmin would make, at O(mn log mn) cost. The
+    matrices are left unchanged.
     """
     feature = matrices.feature
-    spatial = matrices.spatial
     m, n = feature.shape
     limit = min(m, n)
-    threshold = config.feature_threshold
-    gate = config.spatial_threshold
+    cells = np.flatnonzero(
+        (feature < config.feature_threshold) & ~(matrices.spatial > config.spatial_threshold)
+    )
+    order = cells[np.argsort(feature.ravel()[cells], kind="stable")]
     matches: list[tuple[int, int]] = []
     used_rows: set[int] = set()
     used_cols: set[int] = set()
-    while len(matches) < limit and feature.min() < threshold:
-        i, j = divmod(int(np.argmin(feature)), n)
-        if i in used_rows or j in used_cols or spatial[i, j] > gate:
-            feature[i, j] = threshold
+    for cell in order.tolist():
+        if len(matches) == limit:
+            break
+        i, j = divmod(cell, n)
+        if i in used_rows or j in used_cols:
             continue
         matches.append((i, j))
         used_rows.add(i)
         used_cols.add(j)
-        feature[i, j] = threshold
     return AssignmentResult(
         matches=matches,
         unmatched_registered=[i for i in range(m) if i not in used_rows],
@@ -200,7 +200,6 @@ class Tracker:
             track.box = det.box
             track.center = det.box.center
             track.e_count = 0
-            track.last_seen_frame = frame_id
             matched.append(track.id)
         for i in result.unmatched_registered:
             self.objects[i].e_count += 1
@@ -212,7 +211,6 @@ class Tracker:
                 box=det.box,
                 center=det.box.center,
                 e_count=0,
-                last_seen_frame=frame_id,
             )
             self._next_id += 1
             self.objects.append(track)

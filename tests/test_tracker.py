@@ -227,6 +227,42 @@ class TestAssociate:
             assert got.unmatched_registered == exp_rows
             assert got.unmatched_detections == exp_cols
 
+    def test_matches_literal_retrace_on_dense_tied_instances(self):
+        # Crowd-sized, square and rectangular (births and evictions), values on
+        # a 0.05 grid so ties are common, most cells below the threshold and
+        # about half of them gate-rejected.
+        rng = np.random.default_rng(20261018)
+        sizes = [(24, 24), (24, 17), (13, 24), (8, 8), (1, 24), (24, 1)]
+        sizes += [tuple(int(x) for x in rng.integers(1, 25, 2)) for _ in range(24)]
+        for m, n in sizes:
+            feature = np.round(rng.uniform(0.0, 1.0, (m, n)) / 0.05) * 0.05
+            spatial = np.round(rng.uniform(0.0, 0.5, (m, n)) / 0.05) * 0.05
+            t, d = 0.8, 0.25
+            expected, exp_rows, exp_cols = greedy_gated_assignment(
+                feature.tolist(), spatial.tolist(), t, d
+            )
+            got = associate(mats(feature, spatial), config(t=t, d=d))
+            assert got.matches == expected, (m, n)
+            assert got.unmatched_registered == exp_rows, (m, n)
+            assert got.unmatched_detections == exp_cols, (m, n)
+
+    @pytest.mark.parametrize(
+        "feature, spatial",
+        [
+            # skipped cells: taken rows/columns, a gate veto, a cell at the threshold
+            ([[0.1, 0.2, 0.5], [0.2, 0.1, 0.3]], [[0.0, 0.0, 0.0], [0.0, 0.9, 0.0]]),
+            # a full match
+            ([[0.1, 0.4], [0.3, 0.2]], [[0.0, 0.0], [0.0, 0.0]]),
+        ],
+    )
+    def test_leaves_matrices_unchanged(self, feature, spatial):
+        matrices = mats(feature, spatial)
+        feature_before = matrices.feature.copy()
+        spatial_before = matrices.spatial.copy()
+        associate(matrices, config(t=0.5, d=0.5))
+        assert matrices.feature.tobytes() == feature_before.tobytes()
+        assert matrices.spatial.tobytes() == spatial_before.tobytes()
+
 
 class TestTrackerStep:
     def test_cold_start_registers_all(self):
@@ -259,7 +295,6 @@ class TestTrackerStep:
         assert report.matched_ids == [1]
         assert report.created_ids == []
         assert tracker.objects[0].e_count == 0
-        assert tracker.objects[0].last_seen_frame == 2
 
     def test_match_adopts_detection_state(self):
         tracker = Tracker(config(d=0.5))
