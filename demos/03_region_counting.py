@@ -16,9 +16,7 @@ for y in [0.10, 0.40, 0.50, 0.60, 0.75]:
 
 
 def walk(name, ys):
-    track = hc.TrackedObject(
-        id=1, embedding=np.ones(2), box=hc.BoundingBox(0.4, 0.4, 0.5, 0.5), center=(0.45, 0.45)
-    )
+    track = hc.TrackedObject(id=1, unit=np.ones(2) / np.sqrt(2.0), center=(0.45, 0.45))
     ledger = hc.CountLedger()
     for frame, y in enumerate(ys):
         event = hc.update_history(track, hc.classify_region(y, layout), frame, frame * 50)

@@ -72,7 +72,6 @@ from .simulator import (
 from .tracker import (
     AssignmentResult,
     DistanceMatrices,
-    FeatureMetric,
     StepReport,
     TrackedObject,
     Tracker,

@@ -27,7 +27,7 @@ from .counter import (
 )
 from .ingest import DEFAULT_EMBEDDING_DIM, FrameRecord, filter_heads, parse_stream
 from .simulator import ScenarioSpec, generate, make_scenario, evaluate
-from .tracker import FeatureMetric, Tracker, TrackerConfig
+from .tracker import Tracker, TrackerConfig
 
 # Frames excluded from latency percentiles while caches and allocator warm up.
 WARMUP_FRAMES = 50
@@ -35,6 +35,23 @@ WARMUP_FRAMES = 50
 
 class ConfigError(ValueError):
     """Invalid engine configuration (bad field, value, or file)."""
+
+
+# The stream's number rule: a JSON true/false or string is not a number, and
+# a count is an integer. Field names are unique across the config's sections.
+_REAL = (int, float)
+_FIELD_TYPES = {"feature_threshold": _REAL, "spatial_threshold": _REAL, "miss_limit": (int,),
+                "line_ab": _REAL, "line_bc": _REAL, "min_confidence": _REAL,
+                "embedding_dim": (int, type(None))}
+
+
+def _typed(section: dict, prefix: str = "") -> dict:
+    for name, value in section.items():
+        types = _FIELD_TYPES.get(name, (type(value),))
+        if type(value) not in types:
+            expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
+            raise ConfigError(f"{prefix}{name} must be {expected}, got {value!r}")
+    return section
 
 
 @dataclass(frozen=True)
@@ -65,11 +82,9 @@ class EngineConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
-            tracker_data = dict(data.get("tracker", {}))
-            if "feature_metric" in tracker_data:
-                tracker_data["feature_metric"] = FeatureMetric(tracker_data["feature_metric"])
-            tracker = TrackerConfig(**tracker_data)
-            layout_data = dict(data.get("layout", {}))
+            _typed(data)
+            tracker = TrackerConfig(**_typed(dict(data.get("tracker", {})), "tracker."))
+            layout_data = _typed(dict(data.get("layout", {})), "layout.")
             if "orientation" in layout_data:
                 layout_data["orientation"] = Orientation(layout_data["orientation"])
             layout = RegionLayout(**layout_data)
@@ -90,7 +105,6 @@ class EngineConfig:
                 "feature_threshold": self.tracker.feature_threshold,
                 "spatial_threshold": self.tracker.spatial_threshold,
                 "miss_limit": self.tracker.miss_limit,
-                "feature_metric": self.tracker.feature_metric.value,
             },
             "layout": {
                 "line_ab": self.layout.line_ab,

@@ -24,7 +24,6 @@ from .counter import (
     RegionLayout,
     accuracy,
     classify_region,
-    update_history,
 )
 from .ingest import DEFAULT_EMBEDDING_DIM, BoundingBox, DetectionClass, DetectionRecord, FrameRecord
 
@@ -132,14 +131,6 @@ class GroundTruth:
     final_outs: int
 
 
-class _GhostTrack:
-    """Minimal history holder for replaying an actor path through the counter."""
-
-    def __init__(self, actor_id: int):
-        self.id = actor_id
-        self.region_history: list[Region] = []
-
-
 def _head_box(x: float, y: float) -> BoundingBox:
     # Shift the box inward near frame edges so it stays normalized; the
     # center only deviates from (x, y) within half a box of the border.
@@ -158,17 +149,22 @@ def _position(actor: ActorSpec, frame: int) -> Optional[tuple[float, float]]:
 
 
 def _ground_truth(spec: ScenarioSpec, layout: RegionLayout) -> GroundTruth:
+    """Anchor scan of each noiseless path, sharing no code with the counter:
+    B never moves the anchor, and A -> C (entry) or C -> A (exit) re-anchors."""
     events: list[tuple[EventKind, int, int]] = []
     for actor in spec.actors:
-        ghost = _GhostTrack(actor.actor_id)
+        anchor = None
         for frame in range(spec.duration_frames):
             pos = _position(actor, frame)
             if pos is None:
                 continue
             region = classify_region(_head_box(*pos).center[1], layout)
-            event = update_history(ghost, region, frame_id=frame)
-            if event is not None:
-                events.append((event.kind, actor.actor_id, frame))
+            if region is Region.B or region is anchor:
+                continue
+            if anchor is not None:
+                kind = EventKind.ENTRY if region is Region.C else EventKind.EXIT
+                events.append((kind, actor.actor_id, frame))
+            anchor = region
     events.sort(key=lambda e: (e[2], e[1]))
     ins = sum(1 for e in events if e[0] is EventKind.ENTRY)
     outs = len(events) - ins

@@ -1,12 +1,13 @@
 """Greedy appearance-feature tracking.
 
 Each frame, detections are matched to registered tracks in ascending order
-of feature distance, subject to a spatial gate: a pair farther apart than the
-spatial threshold is never matched no matter how similar it looks. The
-candidate pairs are sorted once and walked once, so a frame costs
-O(mn log mn) for m tracks and n detections. Tracks missing from the frame
-accumulate a consecutive-miss count and are evicted once it exceeds the miss
-limit; unmatched detections register as fresh tracks with new ids.
+of cosine distance between unit-norm embeddings, subject to a spatial gate:
+a pair farther apart than the spatial threshold is never matched no matter
+how similar it looks. The candidate pairs are sorted once and walked once,
+so a frame costs O(mn log mn) for m tracks and n detections. Tracks missing
+from the frame accumulate a consecutive-miss count and are evicted once it
+exceeds the miss limit; unmatched detections register as fresh tracks with
+new ids.
 
 This trades the optimal-assignment guarantee for per-frame cost low enough to
 leave essentially the whole real-time budget to the upstream detector.
@@ -14,18 +15,12 @@ leave essentially the whole real-time budget to the upstream detector.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .counter import Region
-from .ingest import BoundingBox, DetectionRecord
-
-
-class FeatureMetric(Enum):
-    COSINE = "cosine"
-    EUCLIDEAN = "euclidean"
+from .ingest import DetectionRecord
 
 
 @dataclass(frozen=True)
@@ -33,7 +28,6 @@ class TrackerConfig:
     feature_threshold: float = 0.35
     spatial_threshold: float = 0.25
     miss_limit: int = 5
-    feature_metric: FeatureMetric = FeatureMetric.COSINE
 
     def __post_init__(self):
         if self.feature_threshold <= 0:
@@ -46,11 +40,11 @@ class TrackerConfig:
 
 @dataclass
 class TrackedObject:
-    """A registered identity carried across frames."""
+    """A registered identity: the unit-norm embedding row and box center of
+    the detection it last adopted, at birth or on its latest match."""
 
     id: int
-    embedding: np.ndarray
-    box: BoundingBox
+    unit: np.ndarray
     center: tuple[float, float]
     e_count: int = 0  # consecutive detection misses
     region_history: list[Region] = field(default_factory=list)
@@ -85,28 +79,22 @@ class AssignmentResult:
 
 def build_matrices(
     registered: Sequence[TrackedObject],
-    detections: Sequence[DetectionRecord],
-    config: TrackerConfig,
+    units: np.ndarray,
+    centers: Sequence[tuple[float, float]],
 ) -> DistanceMatrices:
     """Compute the feature and spatial distance matrices for one frame.
 
-    Embeddings are used as `validate_embedding` left them: finite and non-zero.
+    `units` holds the n detections' unit-norm embedding rows, `centers` their
+    box centers. A feature cell is the cosine distance 1 - u.v, clipped into
+    [0, 2], with nothing re-normalised; a spatial cell is the center distance.
     """
-    m, n = len(registered), len(detections)
+    m, n = len(registered), len(centers)
     if m == 0 or n == 0:
         return DistanceMatrices(np.zeros((m, n)), np.zeros((m, n)))
-    track_emb = np.stack([t.embedding for t in registered])
-    det_emb = np.stack([d.embedding for d in detections])
-    if config.feature_metric is FeatureMetric.COSINE:
-        track_norms = np.linalg.norm(track_emb, axis=1, keepdims=True)
-        det_norms = np.linalg.norm(det_emb, axis=1, keepdims=True)
-        feature = 1.0 - (track_emb / track_norms) @ (det_emb / det_norms).T
-        np.clip(feature, 0.0, 2.0, out=feature)
-    else:
-        diff = track_emb[:, None, :] - det_emb[None, :, :]
-        feature = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    feature = 1.0 - np.stack([t.unit for t in registered]) @ units.T
+    np.clip(feature, 0.0, 2.0, out=feature)
     track_centers = np.array([t.center for t in registered], dtype=float)
-    det_centers = np.array([d.box.center for d in detections], dtype=float)
+    det_centers = np.array(centers, dtype=float)
     delta = track_centers[:, None, :] - det_centers[None, :, :]
     spatial = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
     return DistanceMatrices(feature, spatial)
@@ -181,37 +169,34 @@ class Tracker:
     ) -> StepReport:
         """Advance one frame: match, register, age, and evict.
 
-        Detections must already be head-filtered. Matched tracks adopt the
-        detection's embedding, box, and center outright (no averaging) and
-        reset their miss count. Unmatched detections become new tracks with an
-        empty region history, which the counter fills. Unmatched tracks age by
-        one miss, and anything whose miss count exceeds the limit is removed
-        before the step returns; ids are never reused.
+        Detections must already be head-filtered; their embeddings are scaled
+        to unit rows once, as one (n, d) block. Matched tracks adopt the
+        detection's unit row and center outright (no averaging) and reset
+        their miss count. Unmatched detections become new tracks with an empty
+        region history, which the counter fills. Unmatched tracks age by one
+        miss, and anything whose miss count exceeds the limit is removed before
+        the step returns; ids are never reused.
         """
-        matrices = build_matrices(self.objects, detections, self.config)
+        units = np.zeros((0, 0))
+        if detections:
+            embeddings = np.stack([d.embedding for d in detections])
+            units = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
+        centers = [d.box.center for d in detections]
+        matrices = build_matrices(self.objects, units, centers)
         result = associate(matrices, self.config)
         created: list[int] = []
         matched: list[int] = []
         evicted: list[int] = []
         for i, j in result.matches:
             track = self.objects[i]
-            det = detections[j]
-            track.embedding = det.embedding
-            track.box = det.box
-            track.center = det.box.center
+            track.unit = units[j]
+            track.center = centers[j]
             track.e_count = 0
             matched.append(track.id)
         for i in result.unmatched_registered:
             self.objects[i].e_count += 1
         for j in result.unmatched_detections:
-            det = detections[j]
-            track = TrackedObject(
-                id=self._next_id,
-                embedding=det.embedding,
-                box=det.box,
-                center=det.box.center,
-                e_count=0,
-            )
+            track = TrackedObject(id=self._next_id, unit=units[j], center=centers[j])
             self._next_id += 1
             self.objects.append(track)
             created.append(track.id)

@@ -8,28 +8,24 @@ from __future__ import annotations
 
 import math
 
-from headcount.tracker import FeatureMetric
 
+def feature_distance(a, b):
+    """Cosine distance between two embeddings, one component at a time.
 
-def feature_distance(a, b, metric=FeatureMetric.COSINE):
-    """Appearance distance between two embeddings, one component at a time.
-
-    Cosine distance is 1 - cos(a, b), clamped into [0, 2]; euclidean is the
-    plain norm of the difference. Raises ValueError on a dimension mismatch,
-    and for cosine on a vector whose squared norm is 0.0 (underflow included).
+    The distance is 1 - cos(a, b), clamped into [0, 2]. Raises ValueError on a
+    dimension mismatch and on a vector whose squared norm is 0.0 (underflow
+    included).
     """
     va = [float(x) for x in a]
     vb = [float(x) for x in b]
     if len(va) != len(vb):
         raise ValueError(f"embedding dimensions differ: {len(va)} vs {len(vb)}")
-    if metric is FeatureMetric.COSINE:
-        norm_a = math.sqrt(sum(x * x for x in va))
-        norm_b = math.sqrt(sum(y * y for y in vb))
-        if norm_a == 0.0 or norm_b == 0.0:
-            raise ValueError("cosine distance is undefined for a zero vector")
-        dist = 1.0 - sum(x * y for x, y in zip(va, vb)) / (norm_a * norm_b)
-        return min(2.0, max(0.0, dist))
-    return math.sqrt(sum((x - y) * (x - y) for x, y in zip(va, vb)))
+    norm_a = math.sqrt(sum(x * x for x in va))
+    norm_b = math.sqrt(sum(y * y for y in vb))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("cosine distance is undefined for a zero vector")
+    dist = 1.0 - sum(x * y for x, y in zip(va, vb)) / (norm_a * norm_b)
+    return min(2.0, max(0.0, dist))
 
 
 def spatial_distance(p, q):

@@ -82,9 +82,7 @@ def test_criterion_03_counting_oracle_equivalence():
     total = 0
     for length in range(1, 7):
         for labels in itertools.product("ABC", repeat=length):
-            track = hc.TrackedObject(
-                id=1, embedding=np.ones(2), box=hc.BoundingBox(0.4, 0.4, 0.5, 0.5), center=(0.45, 0.45)
-            )
+            track = hc.TrackedObject(id=1, unit=np.ones(2) / np.sqrt(2.0), center=(0.45, 0.45))
             got = []
             for idx, label in enumerate(labels):
                 event = hc.update_history(track, hc.Region(label), frame_id=idx)

@@ -15,7 +15,6 @@ from headcount.engine import (
 )
 from headcount.ingest import EmbeddingDimensionError, LightingMode, write_stream
 from headcount.simulator import generate, make_scenario
-from headcount.tracker import FeatureMetric
 
 DIM = 16
 
@@ -89,13 +88,13 @@ class TestEngineConfig:
     def test_round_trip(self):
         cfg = EngineConfig.from_dict(
             {
-                "tracker": {"feature_threshold": 0.4, "feature_metric": "euclidean"},
+                "tracker": {"feature_threshold": 0.4, "miss_limit": 3},
                 "layout": {"line_ab": 0.3, "line_bc": 0.7, "orientation": "outside_bottom"},
                 "min_confidence": 0.6,
                 "embedding_dim": 64,
             }
         )
-        assert cfg.tracker.feature_metric is FeatureMetric.EUCLIDEAN
+        assert cfg.tracker.miss_limit == 3
         assert cfg.layout.orientation is Orientation.OUTSIDE_BOTTOM
         assert EngineConfig.from_dict(cfg.to_dict()) == cfg
 
@@ -111,8 +110,18 @@ class TestEngineConfig:
             {"min_confidence": 1.5},
             {"embedding_dim": 0},
             {"mystery": 1},
-            # the old default value: only an unknown field can reject it
+            # old default values: only the unknown-field rule can reject them
             {"lighting": {"agreement_fraction": 0.99}},
+            {"tracker": {"feature_metric": "cosine"}},
+            # numbers follow the stream's rule: no strings or booleans, and
+            # counts are integers
+            {"min_confidence": "0.7"},
+            {"min_confidence": True},
+            {"tracker": {"miss_limit": 2.5}},
+            {"tracker": {"miss_limit": True}},
+            {"tracker": {"feature_threshold": True}},
+            {"embedding_dim": True},
+            {"embedding_dim": 2.5},
         ],
     )
     def test_invalid_configs(self, data):

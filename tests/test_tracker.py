@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from headcount.ingest import BoundingBox, DetectionClass, DetectionRecord
 from headcount.tracker import (
     DistanceMatrices,
-    FeatureMetric,
     TrackedObject,
     Tracker,
     TrackerConfig,
@@ -26,30 +25,31 @@ def detection(x=0.5, y=0.5, emb=(1.0, 0.0), conf=0.95, size=0.08):
 
 
 def track(tid=1, x=0.5, y=0.5, emb=(1.0, 0.0)):
-    det = detection(x, y, emb)
-    return TrackedObject(
-        id=tid, embedding=np.asarray(emb, dtype=float), box=det.box, center=det.box.center
-    )
+    emb = np.asarray(emb, dtype=float)
+    return TrackedObject(id=tid, unit=emb / np.linalg.norm(emb), center=detection(x, y).box.center)
+
+
+def matrices_for(tracks, dets):
+    units = np.zeros((0, 0))
+    if dets:
+        emb = np.stack([d.embedding for d in dets])
+        units = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+    return build_matrices(tracks, units, [d.box.center for d in dets])
 
 
 class TestFeatureDistance:
     def test_identical_vectors_cosine(self):
         v = np.array([0.3, -1.2, 4.0])
-        assert feature_distance(v, v, FeatureMetric.COSINE) == pytest.approx(0.0, abs=1e-12)
+        assert feature_distance(v, v) == pytest.approx(0.0, abs=1e-12)
 
     def test_orthogonal_vectors_cosine(self):
         a = np.array([1.0, 0.0, 0.0])
         b = np.array([0.0, 1.0, 0.0])
-        assert feature_distance(a, b, FeatureMetric.COSINE) == pytest.approx(1.0)
+        assert feature_distance(a, b) == pytest.approx(1.0)
 
     def test_opposite_vectors_cosine_is_two(self):
         a = np.array([1.0, 0.0])
-        assert feature_distance(a, -a, FeatureMetric.COSINE) == pytest.approx(2.0)
-
-    def test_euclidean_example(self):
-        a, b = np.array([3.0, 4.0]), np.array([3.0, 0.0])
-        # direct norm as oracle
-        assert feature_distance(a, b, FeatureMetric.EUCLIDEAN) == float(np.linalg.norm(a - b)) == 4.0
+        assert feature_distance(a, -a) == pytest.approx(2.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -57,27 +57,22 @@ class TestFeatureDistance:
 
     def test_zero_vector_cosine(self):
         with pytest.raises(ValueError):
-            feature_distance(np.zeros(3), np.ones(3), FeatureMetric.COSINE)
+            feature_distance(np.zeros(3), np.ones(3))
 
     @given(
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=3),
         st.lists(st.floats(-5, 5, allow_nan=False), min_size=3, max_size=3),
-        st.sampled_from(list(FeatureMetric)),
     )
-    def test_symmetric_and_bounded(self, a, b, metric):
+    def test_symmetric_and_bounded(self, a, b):
         va, vb = np.asarray(a), np.asarray(b)
         # norms can underflow to exactly 0.0 for denormal components, which
-        # the cosine path treats as a zero vector and rejects
-        if metric is FeatureMetric.COSINE and (
-            np.linalg.norm(va) == 0.0 or np.linalg.norm(vb) == 0.0
-        ):
+        # cosine distance treats as a zero vector and rejects
+        if np.linalg.norm(va) == 0.0 or np.linalg.norm(vb) == 0.0:
             return
-        d_ab = feature_distance(va, vb, metric)
-        d_ba = feature_distance(vb, va, metric)
+        d_ab = feature_distance(va, vb)
+        d_ba = feature_distance(vb, va)
         assert d_ab == pytest.approx(d_ba, abs=1e-12)
-        assert d_ab >= 0.0
-        if metric is FeatureMetric.COSINE:
-            assert d_ab <= 2.0
+        assert 0.0 <= d_ab <= 2.0
 
 
 class TestSpatialDistance:
@@ -93,28 +88,25 @@ class TestSpatialDistance:
 
 class TestBuildMatrices:
     def test_empty_side_shapes(self):
-        cfg = TrackerConfig()
-        mats = build_matrices([], [detection()], cfg)
+        mats = matrices_for([], [detection()])
         assert mats.feature.shape == (0, 1)
         assert mats.spatial.shape == (0, 1)
-        mats = build_matrices([track()], [], cfg)
+        mats = matrices_for([track()], [])
         assert mats.feature.shape == (1, 0)
 
     def test_identical_embedding_zero_distance(self):
-        mats = build_matrices([track(emb=(1.0, 2.0))], [detection(emb=(1.0, 2.0))], TrackerConfig())
+        mats = matrices_for([track(emb=(1.0, 2.0))], [detection(emb=(1.0, 2.0))])
         assert mats.feature[0, 0] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("metric", list(FeatureMetric))
-    def test_matches_per_pair_recomputation(self, metric):
+    def test_matches_per_pair_recomputation(self):
         rng = np.random.default_rng(7)
         tracks = [track(tid=i, x=rng.uniform(0.2, 0.8), y=rng.uniform(0.2, 0.8), emb=rng.normal(size=6)) for i in range(3)]
         dets = [detection(x=rng.uniform(0.2, 0.8), y=rng.uniform(0.2, 0.8), emb=rng.normal(size=6)) for _ in range(4)]
-        cfg = TrackerConfig(feature_metric=metric)
-        mats = build_matrices(tracks, dets, cfg)
+        mats = matrices_for(tracks, dets)
         for i, t in enumerate(tracks):
             for j, d in enumerate(dets):
                 assert mats.feature[i, j] == pytest.approx(
-                    feature_distance(t.embedding, d.embedding, metric), abs=1e-9
+                    feature_distance(t.unit, d.embedding), abs=1e-9
                 )
                 assert mats.spatial[i, j] == pytest.approx(
                     spatial_distance(t.center, d.box.center), abs=1e-12
@@ -122,7 +114,7 @@ class TestBuildMatrices:
 
     def test_dimension_mismatch_propagates(self):
         with pytest.raises(ValueError):
-            build_matrices([track(emb=(1.0, 0.0))], [detection(emb=(1.0, 0.0, 0.0))], TrackerConfig())
+            matrices_for([track(emb=(1.0, 0.0))], [detection(emb=(1.0, 0.0, 0.0))])
 
 
 def mats(feature, spatial=None):
@@ -302,9 +294,16 @@ class TestTrackerStep:
         new = detection(x=0.45, y=0.5, emb=(1.0, 0.2))
         tracker.step([new], 1)
         obj = tracker.objects[0]
-        assert obj.box == new.box
         assert obj.center == new.box.center
-        assert np.array_equal(obj.embedding, np.asarray([1.0, 0.2]))
+        emb = np.asarray([1.0, 0.2])
+        assert obj.unit.tobytes() == (emb / np.linalg.norm(emb)).tobytes()
+
+    def test_birth_adopts_unit_row(self):
+        tracker = Tracker(config())
+        embs = [np.asarray([3.0, -4.0, 0.5]), np.asarray([0.1, 0.2, 7.0])]
+        tracker.step([detection(x=0.3, emb=embs[0]), detection(x=0.7, emb=embs[1])], 0)
+        for obj, emb in zip(tracker.objects, embs):
+            assert obj.unit.tobytes() == (emb / np.linalg.norm(emb)).tobytes()
 
     def test_id_permanence_and_growth(self):
         tracker = Tracker(config(e=1))
