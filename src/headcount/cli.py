@@ -25,24 +25,34 @@ def _load_config(path: str | None) -> EngineConfig:
         return EngineConfig()
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            data = json.load(fp)
+            return EngineConfig.from_dict(json.load(fp))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    return EngineConfig.from_dict(data)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write(json.dumps(payload, indent=2) + "\n")
+
+
+def _write_run(args, result, error: str | None = None) -> None:
+    if args.events_out:
+        with open(args.events_out, "w", encoding="utf-8") as fp:
+            write_events(result.events, fp)
+    if args.report_out:
+        _write_json(args.report_out, {**result.to_dict(), "error": error})
 
 
 def _cmd_run(args, config: EngineConfig) -> int:
-    with open(args.input, "r", encoding="utf-8") as fp:
-        result = run(fp, config)
-    if args.events_out:
-        with open(args.events_out, "w", encoding="utf-8") as fp:
-            write_events(result.ledger.events, fp)
-    if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fp:
-            json.dump(result.to_dict(), fp, indent=2)
-            fp.write("\n")
+    try:
+        with open(args.input, "r", encoding="utf-8") as fp:
+            result = run(fp, config)
+    except StreamError as exc:
+        _write_run(args, exc.result, str(exc))
+        raise
+    _write_run(args, result)
     snap = result.ledger.snapshot()
     print(
         f"frames={result.frames} ins={snap['ins']} outs={snap['outs']} "
@@ -79,9 +89,7 @@ def _cmd_bench(args, config: EngineConfig) -> int:
             f"{stats.p95_us:>10.1f}  {stats.p99_us:>10.1f}  {stats.max_fps:>10.0f}"
         )
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as fp:
-            json.dump(report.to_dict(), fp, indent=2)
-            fp.write("\n")
+        _write_json(args.report_out, report.to_dict())
     return EXIT_OK
 
 
@@ -110,31 +118,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Doorway people-counting engine over external head-detection streams.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="engine config JSON file")
 
-    p_run = sub.add_parser("run", help="process a detection stream into counts")
+    p_run = sub.add_parser("run", parents=[common], help="process a detection stream into counts")
     p_run.add_argument("--input", required=True, help="detection stream file (JSON lines)")
-    p_run.add_argument("--config", help="engine config JSON file")
     p_run.add_argument("--events-out", help="write crossing events as JSON lines")
     p_run.add_argument("--report-out", help="write run summary JSON")
     p_run.set_defaults(func=_cmd_run)
 
-    p_sim = sub.add_parser("simulate", help="generate a synthetic detection stream")
+    p_sim = sub.add_parser("simulate", parents=[common], help="generate a synthetic detection stream")
     p_sim.add_argument("--scenario", required=True, help="catalog scenario name")
     p_sim.add_argument("--seed", type=int, help="override the scenario seed")
     p_sim.add_argument("--out", required=True, help="stream output file")
     p_sim.add_argument("--truth-out", help="ground-truth sidecar file")
     p_sim.add_argument("--embedding-dim", type=int, help="embedding dimension (default 1024)")
-    p_sim.add_argument("--config", help="engine config JSON file (for the region layout)")
     p_sim.set_defaults(func=_cmd_simulate)
 
-    p_bench = sub.add_parser("bench", help="measure per-frame engine latency")
+    p_bench = sub.add_parser("bench", parents=[common], help="measure per-frame engine latency")
     p_bench.add_argument("--scenarios", default="multi_3", help="comma-separated scenario names")
     p_bench.add_argument("--reps", type=int, default=20, help="repetitions per scenario")
-    p_bench.add_argument("--config", help="engine config JSON file")
     p_bench.add_argument("--report-out", help="write bench report JSON")
     p_bench.set_defaults(func=_cmd_bench)
 
-    p_cal = sub.add_parser("calibrate", help="sweep tracker thresholds over scenarios")
+    p_cal = sub.add_parser("calibrate", parents=[common], help="sweep tracker thresholds over scenarios")
     p_cal.add_argument("--grid", required=True, help="JSON file of threshold candidate lists")
     p_cal.add_argument(
         "--scenarios",
@@ -143,21 +150,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cal.add_argument("--seeds", default="1,2,3", help="comma-separated seeds")
     p_cal.add_argument("--top", type=int, default=10, help="rows to display (0 = all)")
-    p_cal.add_argument("--config", help="engine config JSON file")
     p_cal.set_defaults(func=_cmd_calibrate)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(getattr(args, "config", None))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        return args.func(args, config)
+        return args.func(args, _load_config(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from .counter import (
     tally,
     update_history,
 )
-from .ingest import DEFAULT_EMBEDDING_DIM, FrameRecord, filter_heads, parse_stream
+from .ingest import DEFAULT_EMBEDDING_DIM, FrameRecord, StreamError, filter_heads, parse_stream
 from .simulator import ScenarioSpec, generate, make_scenario, evaluate
 from .tracker import Tracker, TrackerConfig
 
@@ -45,13 +45,16 @@ _FIELD_TYPES = {"feature_threshold": _REAL, "spatial_threshold": _REAL, "miss_li
                 "embedding_dim": (int, type(None))}
 
 
-def _typed(section: dict, prefix: str = "") -> dict:
-    for name, value in section.items():
+def _typed(data, section: str = "") -> dict:
+    if not isinstance(data, dict):
+        raise ConfigError(f"{section or 'config'} must be a JSON object")
+    prefix = f"{section}." if section else ""
+    for name, value in data.items():
         types = _FIELD_TYPES.get(name, (type(value),))
         if type(value) not in types:
             expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
             raise ConfigError(f"{prefix}{name} must be {expected}, got {value!r}")
-    return section
+    return data
 
 
 @dataclass(frozen=True)
@@ -75,45 +78,19 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {"tracker", "layout", "min_confidence", "embedding_dim"}
-        unknown = set(data) - known
+        values = dict(_typed(data))
+        unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
-            _typed(data)
-            tracker = TrackerConfig(**_typed(dict(data.get("tracker", {})), "tracker."))
-            layout_data = _typed(dict(data.get("layout", {})), "layout.")
-            if "orientation" in layout_data:
-                layout_data["orientation"] = Orientation(layout_data["orientation"])
-            layout = RegionLayout(**layout_data)
-            return cls(
-                tracker=tracker,
-                layout=layout,
-                min_confidence=float(data.get("min_confidence", 0.5)),
-                embedding_dim=data.get("embedding_dim"),
-            )
-        except ConfigError:
-            raise
+            for name, settings in (("tracker", TrackerConfig), ("layout", RegionLayout)):
+                section = _typed(values.get(name, {}), name)
+                if "orientation" in section:
+                    section = {**section, "orientation": Orientation(section["orientation"])}
+                values[name] = settings(**section)
+            return cls(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-
-    def to_dict(self) -> dict:
-        return {
-            "tracker": {
-                "feature_threshold": self.tracker.feature_threshold,
-                "spatial_threshold": self.tracker.spatial_threshold,
-                "miss_limit": self.tracker.miss_limit,
-            },
-            "layout": {
-                "line_ab": self.layout.line_ab,
-                "line_bc": self.layout.line_bc,
-                "orientation": self.layout.orientation.value,
-            },
-            "min_confidence": self.min_confidence,
-            "embedding_dim": self.embedding_dim,
-        }
 
 
 @dataclass(frozen=True)
@@ -226,23 +203,24 @@ class RunResult:
         }
 
 
-def _timed_frames(engine: Engine, frames: Iterable[FrameRecord]) -> list[tuple[int, float]]:
-    """Process frames in order; one (live tracks, us in process_frame) sample each."""
-    samples: list[tuple[int, float]] = []
+def _timed_frames(
+    engine: Engine, frames: Iterable[FrameRecord], samples: list[tuple[int, float]]
+) -> None:
+    """Process frames in order; append one (live tracks, us in process_frame) sample each."""
     for frame in frames:
         t0 = time.perf_counter_ns()
         engine.process_frame(frame)
         elapsed_us = (time.perf_counter_ns() - t0) / 1000.0
         samples.append((len(engine.tracker.objects), elapsed_us))
-    return samples
 
 
 def run(source, config: Optional[EngineConfig] = None) -> RunResult:
     """Process a detection stream end to end.
 
-    `source` is a file object or iterable of stream lines. Stream violations
-    raise with the offending line; config problems surface before any frame
-    is touched.
+    `source` is a file object or iterable of stream lines. Config problems
+    surface before any frame is touched. A stream violation stops the run: the
+    StreamError names the offending line and carries, as `result`, the
+    RunResult of the frames counted before it.
     """
     cfg = config or EngineConfig()
     return run_frames(parse_stream(source, cfg.embedding_dim), cfg)
@@ -251,14 +229,23 @@ def run(source, config: Optional[EngineConfig] = None) -> RunResult:
 def run_frames(frames: Iterable[FrameRecord], config: Optional[EngineConfig] = None) -> RunResult:
     """Like run(), for frames that are already parsed (no stream decoding)."""
     engine = Engine(config or EngineConfig())
-    samples = _timed_frames(engine, frames)
-    return RunResult(
+    samples: list[tuple[int, float]] = []
+    error = None
+    try:
+        _timed_frames(engine, frames, samples)
+    except StreamError as exc:
+        error = exc
+    result = RunResult(
         ledger=engine.ledger,
         bench=BenchReport.from_samples(samples),
         frames=engine.frames_processed,
         lighting_counts=engine.lighting_counts,
         track_ids_issued=engine.tracker.ids_issued,
     )
+    if error is not None:
+        error.result = result
+        raise error
+    return result
 
 
 def bench(
@@ -281,7 +268,7 @@ def bench(
     samples: list[tuple[int, float]] = []
     for _ in range(repetitions):
         for frames in frame_sets:
-            samples.extend(_timed_frames(Engine(cfg), frames))
+            _timed_frames(Engine(cfg), frames, samples)
     return BenchReport.from_samples(samples)
 
 

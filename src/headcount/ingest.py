@@ -42,7 +42,10 @@ class LightingMode(Enum):
 
 
 class StreamError(Exception):
-    """Base for detection-stream violations; carries the offending line."""
+    """Base for detection-stream violations; carries the offending line and,
+    when `headcount.run` raises it, the RunResult of the frames before it as `result`."""
+
+    result = None
 
     def __init__(self, message: str, line_number: Optional[int] = None):
         self.line_number = line_number

@@ -139,25 +139,21 @@ def _head_box(x: float, y: float) -> BoundingBox:
     return BoundingBox(x0, y0, x0 + HEAD_BOX_SIZE, y0 + HEAD_BOX_SIZE)
 
 
-def _position(actor: ActorSpec, frame: int) -> Optional[tuple[float, float]]:
-    frames = [wp[0] for wp in actor.path]
-    if frame < frames[0] or frame > frames[-1]:
-        return None
-    xs = [wp[1] for wp in actor.path]
-    ys = [wp[2] for wp in actor.path]
-    return float(np.interp(frame, frames, xs)), float(np.interp(frame, frames, ys))
+def _track(actor: ActorSpec, duration: int) -> dict[int, tuple[float, float]]:
+    """The actor's noiseless (x, y) on each frame in view, within [0, duration)."""
+    frames, xs, ys = zip(*actor.path)
+    span = np.arange(max(frames[0], 0), min(frames[-1] + 1, duration))
+    return dict(zip(span.tolist(), zip(np.interp(span, frames, xs).tolist(),
+                                       np.interp(span, frames, ys).tolist())))
 
 
-def _ground_truth(spec: ScenarioSpec, layout: RegionLayout) -> GroundTruth:
+def _ground_truth(spec: ScenarioSpec, tracks: list[dict], layout: RegionLayout) -> GroundTruth:
     """Anchor scan of each noiseless path, sharing no code with the counter:
     B never moves the anchor, and A -> C (entry) or C -> A (exit) re-anchors."""
     events: list[tuple[EventKind, int, int]] = []
-    for actor in spec.actors:
+    for actor, track in zip(spec.actors, tracks):
         anchor = None
-        for frame in range(spec.duration_frames):
-            pos = _position(actor, frame)
-            if pos is None:
-                continue
+        for frame, pos in track.items():
             region = classify_region(_head_box(*pos).center[1], layout)
             if region is Region.B or region is anchor:
                 continue
@@ -186,15 +182,14 @@ def generate(
         DetectionRecord(d.class_label, d.confidence, _head_box(d.x, d.y), None)
         for d in spec.distractions
     ]
+    tracks = [_track(actor, spec.duration_frames) for actor in spec.actors]
     frames: list[FrameRecord] = []
     for frame_idx in range(spec.duration_frames):
         ts_ms = round(frame_idx * 1000.0 / spec.fps)
         detections: list[DetectionRecord] = []
-        for actor in spec.actors:
-            pos = _position(actor, frame_idx)
-            if pos is None:
-                continue
-            if frame_idx in actor.missed_frames:
+        for actor, track in zip(spec.actors, tracks):
+            pos = track.get(frame_idx)
+            if pos is None or frame_idx in actor.missed_frames:
                 continue
             if noise.miss_probability > 0.0 and rng.random() < noise.miss_probability:
                 continue
@@ -212,7 +207,7 @@ def generate(
             )
         detections.extend(distraction_records)
         frames.append(FrameRecord(frame_idx, ts_ms, detections))
-    return frames, _ground_truth(spec, layout)
+    return frames, _ground_truth(spec, tracks, layout)
 
 
 def evaluate(ledger: CountLedger, truth: GroundTruth) -> Optional[AccuracyReport]:

@@ -157,6 +157,7 @@ class Tracker:
         self.config = config or TrackerConfig()
         self.objects: list[TrackedObject] = []
         self._next_id = 1
+        self._frame_id: Optional[int] = None
 
     @property
     def ids_issued(self) -> int:
@@ -175,8 +176,15 @@ class Tracker:
         their miss count. Unmatched detections become new tracks with an empty
         region history, which the counter fills. Unmatched tracks age by one
         miss, and anything whose miss count exceeds the limit is removed before
-        the step returns; ids are never reused.
+        the step returns; ids are never reused. Each frame id skipped since the
+        previous step first ages every track by one miss, as an empty frame would.
         """
+        evicted: list[int] = []
+        if self.objects and frame_id > self._frame_id + 1:
+            for track in self.objects:
+                track.e_count += frame_id - self._frame_id - 1
+            evicted = self._evict()
+        self._frame_id = frame_id
         units = np.zeros((0, 0))
         if detections:
             embeddings = np.stack([d.embedding for d in detections])
@@ -186,7 +194,6 @@ class Tracker:
         result = associate(matrices, self.config)
         created: list[int] = []
         matched: list[int] = []
-        evicted: list[int] = []
         for i, j in result.matches:
             track = self.objects[i]
             track.unit = units[j]
@@ -200,11 +207,12 @@ class Tracker:
             self._next_id += 1
             self.objects.append(track)
             created.append(track.id)
-        survivors = []
-        for track in self.objects:
-            if track.e_count > self.config.miss_limit:
-                evicted.append(track.id)
-            else:
-                survivors.append(track)
-        self.objects = survivors
+        evicted += self._evict()
         return StepReport(frame_id, created, matched, evicted)
+
+    def _evict(self) -> list[int]:
+        """Drop every track whose miss count exceeds the limit; return their ids."""
+        limit = self.config.miss_limit
+        evicted = [track.id for track in self.objects if track.e_count > limit]
+        self.objects = [track for track in self.objects if track.e_count <= limit]
+        return evicted

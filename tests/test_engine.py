@@ -1,9 +1,13 @@
 import io
 import json
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from headcount.counter import Orientation, write_events
+from headcount.counter import Orientation, RegionLayout, write_events
 from headcount.engine import (
     BenchReport,
     ConfigError,
@@ -13,8 +17,9 @@ from headcount.engine import (
     run,
     run_frames,
 )
-from headcount.ingest import EmbeddingDimensionError, LightingMode, write_stream
-from headcount.simulator import generate, make_scenario
+from headcount.ingest import EmbeddingDimensionError, FrameRecord, LightingMode, write_stream
+from headcount.simulator import NoiseSpec, generate, make_scenario, random_crossings
+from headcount.tracker import TrackerConfig
 
 DIM = 16
 
@@ -94,9 +99,13 @@ class TestEngineConfig:
                 "embedding_dim": 64,
             }
         )
-        assert cfg.tracker.miss_limit == 3
-        assert cfg.layout.orientation is Orientation.OUTSIDE_BOTTOM
-        assert EngineConfig.from_dict(cfg.to_dict()) == cfg
+        assert cfg == EngineConfig(
+            tracker=TrackerConfig(feature_threshold=0.4, miss_limit=3),
+            layout=RegionLayout(0.3, 0.7, Orientation.OUTSIDE_BOTTOM),
+            min_confidence=0.6,
+            embedding_dim=64,
+        )
+        assert EngineConfig.from_dict({"min_confidence": 1}) == EngineConfig(min_confidence=1.0)
 
     def test_defaults_from_empty_dict(self):
         assert EngineConfig.from_dict({}) == EngineConfig()
@@ -122,11 +131,39 @@ class TestEngineConfig:
             {"tracker": {"feature_threshold": True}},
             {"embedding_dim": True},
             {"embedding_dim": 2.5},
+            # the config and each section must be a JSON object
+            [],
+            {"tracker": [["miss_limit", 3]]},
+            {"layout": [["line_ab", 0.3]]},
         ],
     )
     def test_invalid_configs(self, data):
         with pytest.raises(ConfigError):
             EngineConfig.from_dict(data)
+
+    def test_sections_must_be_objects(self):
+        for name in ("tracker", "layout"):
+            with pytest.raises(ConfigError, match=f"^{name} must be a JSON object"):
+                EngineConfig.from_dict({name: []})
+
+    def test_readme_table_lists_every_field(self):
+        # The README's configuration table must name exactly the settable
+        # fields, and its defaults must load as the defaults.
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        text = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        rows = re.findall(r"^\| `([\w.]+)` \| `([^`]*)` \|", text, flags=re.M)
+        expected = set()
+        for f in fields(EngineConfig):
+            if is_dataclass(f.default):
+                expected |= {f"{f.name}.{g.name}" for g in fields(f.default)}
+            else:
+                expected.add(f.name)
+        assert {name for name, _ in rows} == expected
+        data: dict = {}
+        for name, default in rows:
+            section, _, key = name.rpartition(".")
+            (data.setdefault(section, {}) if section else data)[key] = json.loads(default)
+        assert EngineConfig.from_dict(data) == EngineConfig()
 
 
 class TestBench:
@@ -184,6 +221,27 @@ class TestCalibrate:
     def test_rejects_empty_axis(self):
         with pytest.raises(ConfigError):
             calibrate({"miss_limit": []}, ["clean_entry"])
+
+
+class TestFrameGaps:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gap_counts_as_empty_frames(self, seed):
+        # Dropping whole frames must give the same events and ids as keeping
+        # those frames with no detections in them.
+        noise = NoiseSpec(miss_probability=0.1, center_jitter_sigma=0.01)
+        spec = random_crossings(seed, actors=6, stagger=15, noise=noise, embedding_dim=DIM)
+        frames, _ = generate(spec)
+        rng = np.random.default_rng(seed)
+        dropped: set[int] = set()
+        while len(dropped) < len(frames) // 4:
+            start = int(rng.integers(1, len(frames)))
+            dropped.update(range(start, start + int(rng.integers(1, 12))))
+        gapped = run_frames([f for f in frames if f.frame_id not in dropped])
+        filled = run_frames(
+            [FrameRecord(f.frame_id, f.timestamp_ms) if f.frame_id in dropped else f for f in frames]
+        )
+        assert gapped.events == filled.events
+        assert gapped.track_ids_issued == filled.track_ids_issued
 
 
 class TestCausality:

@@ -1,10 +1,12 @@
-"""Golden event gate: pinned event-log digests for the catalog and a noisy soak.
+"""Golden gates: pinned digests of the catalog and a noisy soak.
 
-Each digest is the SHA-256 of the `write_events` output followed by the JSON
-ledger snapshot, the bytes acceptance criterion 10 compares. A change that
-must keep events byte-identical (a refactor or a speedup) has to leave every
-digest here unchanged; a change that means to alter events updates the table
-and says why.
+An event digest is the SHA-256 of the `write_events` output followed by the
+JSON ledger snapshot, the bytes acceptance criterion 10 compares. A stream
+digest is the SHA-256 of the `write_stream` text followed by the
+`write_ground_truth` text, so the simulator's output is pinned as well. A
+change that must keep its output byte-identical (a refactor or a speedup) has
+to leave every digest here unchanged; a change that means to alter it updates
+the table and says why.
 """
 import hashlib
 import io
@@ -46,6 +48,33 @@ GOLDEN = {
 
 SOAK_DIGEST = "bfb28784efb5f039636796d2f5d17e8bbb8a6117c71fa66e72be8a2624aa2c6c"
 
+STREAM_GOLDEN = {
+    ("clean_entry", 16): "242b9c66509e7f1a6f58ee0059c00e6d70102068645c528a53cd3fff11bc6fba",
+    ("clean_entry", 1024): "a4e4be23bdcf0f5be9130402497c8ba031ac0c69b6aba22c7aa3f752d1acc9f6",
+    ("clean_exit", 16): "0adec6141fdf797d0265709bf4725686976a239b56138a3d2973bce5cc976bc1",
+    ("clean_exit", 1024): "6309e88884da2563468c2662087a49d1bd844f31c60fbd746d806470dc2e0353",
+    ("crossing_pair", 16): "2f31d58088fb93e118c5c52b118c609d843f1cdc3340f34cf1064e1c9aaba7aa",
+    ("crossing_pair", 1024): "e0c3f88c822f61340894cacfc37f7389f1414e3e1e9832f05bce20371e95eb0a",
+    ("distraction_field", 16): "6a19cebf16552302557b167d9fea70e56be088caa03cd8de3103c4ce4a0728df",
+    ("distraction_field", 1024): "54c5c68b724732c559bc21b07e5638f71b4b15bffdf09336f3e889fad4906da5",
+    ("multi_3", 16): "472bc4e191998dd2fd7cd60c84b00fa495ce97268b04cff3a722d949789a6f0a",
+    ("multi_3", 1024): "7b3fda0eceadb0614b345e3ef637659339e5be0edcc3401f24be9c795dd69986",
+    ("oscillation", 16): "e3b945f2ce9379f7e781f916eef5ad1cd7f470613c3c88bee09975c484cf3dad",
+    ("oscillation", 1024): "e58b8094bd6115ab6f020f241414031765e13c91bc180144476404ac7be4462b",
+    ("dropout_1", 16): "0b32651e981ed5ca9339882b1eaecef0ae09132eedfc96d75a28a3ef03533e58",
+    ("dropout_1", 1024): "f9beef99e0dc598721f3eabf368c24b90da386569d53857ece1a38061c4a14af",
+    ("dropout_3", 16): "b327aeaefc71a3e92c8ef21d6964fa8649b1d5872ac66a08139704b924abef92",
+    ("dropout_3", 1024): "d08af7e08b224996637a62fe3ea500ce9ecd77b8351bba2ca745601d317e27ce",
+    ("dropout_5", 16): "f4d3b2bbe0687e38701b892126b7c5696c6871f287eb728be5f127ce0eba5299",
+    ("dropout_5", 1024): "1b6e547a31c367d8af94e82d33114fffc0e7034d32fd93425ea0741fe2c8b356",
+    ("dropout_6", 16): "423a5de0852a84e1040c75ee611404e85e86c3c59300b2313d864f174cace7e4",
+    ("dropout_6", 1024): "0fcca2ca8dd07c091846f613d5535ac7a732721f058237c33fabc89ba00b5cc7",
+    ("dropout_9", 16): "aad610e246c9224ec5c133a9b842157f0e5e903728135c55b8708b8427383ad1",
+    ("dropout_9", 1024): "bfd692c4f8cf40fee532798f1f7d6c58b9c43c1f7713ddd75f8d63044f2aa44e",
+}
+
+STREAM_SOAK_DIGEST = "2bee31d113199d4306fe7d843bf6169a516b8f35e566da4a90df9e43e8c659b0"
+
 
 def digest(result, sha=None):
     sha = sha or hashlib.sha256()
@@ -54,6 +83,23 @@ def digest(result, sha=None):
     sha.update(events.getvalue().encode())
     sha.update(json.dumps(result.ledger.snapshot()).encode())
     return sha
+
+
+def stream_digest(frames, truth, sha=None):
+    sha = sha or hashlib.sha256()
+    for write, data in ((hc.write_stream, frames), (hc.write_ground_truth, truth)):
+        text = io.StringIO()
+        write(data, text)
+        sha.update(text.getvalue().encode())
+    return sha
+
+
+def soak_scenarios():
+    # Criterion 7's noise at 1024-d, seeds 0-9.
+    dim = 1024
+    sigma = math.sqrt(0.5 * hc.TrackerConfig().feature_threshold / dim)
+    noise = hc.NoiseSpec(miss_probability=0.1, embedding_noise_sigma=sigma, center_jitter_sigma=0.02)
+    return [hc.random_crossings(seed, actors=4, noise=noise, embedding_dim=dim) for seed in range(10)]
 
 
 def run_rendered(frames):
@@ -70,14 +116,25 @@ def test_catalog_events_are_pinned(name, dim):
     assert digest(run_rendered(frames)).hexdigest() == GOLDEN[(name, dim)]
 
 
+@pytest.mark.parametrize("dim", [16, 1024])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_catalog_streams_are_pinned(name, dim):
+    frames, truth = hc.generate(hc.make_scenario(name, dim))
+    assert stream_digest(frames, truth).hexdigest() == STREAM_GOLDEN[(name, dim)]
+
+
 def test_noisy_soak_events_are_pinned():
-    # Criterion 7's noise at 1024-d, seeds 0-9, folded into one digest; run on
-    # the frames as criterion 7 does (the text round trip is lossless).
-    dim = 1024
-    sigma = math.sqrt(0.5 * hc.TrackerConfig().feature_threshold / dim)
-    noise = hc.NoiseSpec(miss_probability=0.1, embedding_noise_sigma=sigma, center_jitter_sigma=0.02)
+    # Folded into one digest; run on the frames as criterion 7 does (the text
+    # round trip is lossless).
     sha = hashlib.sha256()
-    for seed in range(10):
-        frames, _ = hc.generate(hc.random_crossings(seed, actors=4, noise=noise, embedding_dim=dim))
+    for spec in soak_scenarios():
+        frames, _ = hc.generate(spec)
         digest(hc.run_frames(frames), sha)
     assert sha.hexdigest() == SOAK_DIGEST
+
+
+def test_noisy_soak_streams_are_pinned():
+    sha = hashlib.sha256()
+    for spec in soak_scenarios():
+        stream_digest(*hc.generate(spec), sha)
+    assert sha.hexdigest() == STREAM_SOAK_DIGEST

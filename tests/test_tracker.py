@@ -314,6 +314,17 @@ class TestTrackerStep:
         report = tracker.step([detection()], 3)
         assert report.created_ids == [2]
 
+    def test_frame_gap_ages_tracks_before_association(self):
+        # One person seen at frames 0, 1, 2 and 300: the gap outlasts the miss
+        # limit, so frame 300 starts a new identity, as empty frames would.
+        tracker = Tracker(config(e=5))
+        for frame in (0, 1, 2):
+            tracker.step([detection()], frame)
+        report = tracker.step([detection()], 300)
+        assert (report.evicted_ids, report.matched_ids, report.created_ids) == ([1], [], [2])
+        tracker.step([], 304)  # three skipped ids plus this empty frame
+        assert tracker.objects[0].e_count == 4
+
     def test_no_track_exceeds_miss_limit_after_step(self):
         rng = np.random.default_rng(11)
         tracker = Tracker(config(t=0.4, d=0.3, e=2))
