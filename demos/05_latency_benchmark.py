@@ -10,7 +10,7 @@ import headcount as hc
 FRAME_BUDGET_US = 50_000.0  # one frame at 20 FPS
 
 print("benchmarking multi_3 (occupancy ramps 0 -> 3) with 1024-dim embeddings...")
-report = hc.bench(["multi_3"], repetitions=20, embedding_dim=1024)
+report = hc.bench([hc.make_scenario("multi_3", 1024)], repetitions=20)
 
 print(f"\n{'tracks':>6} {'samples':>8} {'p50 us':>9} {'p95 us':>9} {'p99 us':>9} {'max fps':>9} {'budget':>8}")
 for count, stats in sorted(report.groups.items()):

@@ -21,13 +21,7 @@ grid = {
     "miss_limit": [2, 5, 8],
 }
 print("sweeping", {k: v for k, v in grid.items()}, "over noisy crossings...")
-rows = hc.calibrate(
-    grid,
-    scenario_names=[],
-    seeds=(1, 2),
-    config=hc.EngineConfig(embedding_dim=DIM),
-    scenarios=scenarios,
-)
+rows = hc.calibrate(grid, scenarios, seeds=(1, 2), config=hc.EngineConfig(embedding_dim=DIM))
 
 print(f"\n{'feature_t':>10} {'spatial_t':>10} {'miss_limit':>10} {'accuracy':>9} {'runs':>5}")
 for row in rows:

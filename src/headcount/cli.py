@@ -20,16 +20,18 @@ EXIT_INPUT = 1
 EXIT_CONFIG = 2
 
 
-def _load_config(path: str | None) -> EngineConfig:
-    if path is None:
-        return EngineConfig()
+def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fp:
-            return EngineConfig.from_dict(json.load(fp))
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+            return json.load(fp)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {what} {path} as JSON: {exc}") from None
+
+
+def _scenarios(names: list[str], config: EngineConfig, dim: int | None = None) -> list:
+    """Catalog specs at `dim`, else at the config's embedding_dim, else at the default."""
+    dim = dim or config.embedding_dim or DEFAULT_EMBEDDING_DIM
+    return [make_scenario(name, dim) for name in names]
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -62,8 +64,7 @@ def _cmd_run(args, config: EngineConfig) -> int:
 
 
 def _cmd_simulate(args, config: EngineConfig) -> int:
-    dim = args.embedding_dim or config.embedding_dim or DEFAULT_EMBEDDING_DIM
-    spec = make_scenario(args.scenario, dim)
+    spec = _scenarios([args.scenario], config, args.embedding_dim)[0]
     if args.seed is not None:
         spec = replace(spec, seed=args.seed)
     frames, truth = generate(spec, config.layout)
@@ -81,7 +82,7 @@ def _cmd_simulate(args, config: EngineConfig) -> int:
 
 def _cmd_bench(args, config: EngineConfig) -> int:
     names = [n for n in args.scenarios.split(",") if n]
-    report = bench(names, repetitions=args.reps, config=config)
+    report = bench(_scenarios(names, config), repetitions=args.reps, config=config)
     print(f"{'tracks':>6}  {'samples':>8}  {'p50 us':>10}  {'p95 us':>10}  {'p99 us':>10}  {'max fps':>10}")
     for count, stats in sorted(report.groups.items()):
         print(
@@ -94,14 +95,9 @@ def _cmd_bench(args, config: EngineConfig) -> int:
 
 
 def _cmd_calibrate(args, config: EngineConfig) -> int:
-    try:
-        with open(args.grid, "r", encoding="utf-8") as fp:
-            grid = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"grid {args.grid} is not valid JSON: {exc}") from None
     names = [n for n in args.scenarios.split(",") if n]
     seeds = [int(s) for s in args.seeds.split(",") if s]
-    rows = calibrate(grid, names, seeds=seeds, config=config)
+    rows = calibrate(_read_json(args.grid, "grid"), _scenarios(names, config), seeds, config)
     shown = rows[: args.top] if args.top else rows
     print(f"{'feature_t':>10}  {'spatial_t':>10}  {'miss_limit':>10}  {'accuracy':>9}  {'runs':>5}")
     for row in shown:
@@ -157,7 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args, _load_config(args.config))
+        data = {} if args.config is None else _read_json(args.config, "config")
+        return args.func(args, EngineConfig.from_dict(data))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

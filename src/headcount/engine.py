@@ -25,8 +25,8 @@ from .counter import (
     tally,
     update_history,
 )
-from .ingest import DEFAULT_EMBEDDING_DIM, FrameRecord, StreamError, filter_heads, parse_stream
-from .simulator import ScenarioSpec, generate, make_scenario, evaluate
+from .ingest import FrameRecord, StreamError, filter_heads, parse_stream
+from .simulator import GroundTruth, ScenarioSpec, evaluate, generate
 from .tracker import Tracker, TrackerConfig
 
 # Frames excluded from latency percentiles while caches and allocator warm up.
@@ -113,27 +113,19 @@ class BenchReport:
     warmup_excluded: int
 
     @classmethod
-    def from_samples(
-        cls, samples: Sequence[tuple[int, float]], warmup: int = WARMUP_FRAMES
-    ) -> "BenchReport":
+    def from_samples(cls, samples: Sequence[tuple[int, float]]) -> "BenchReport":
         """Build from (track_count, elapsed_us) pairs in collection order.
 
-        The first `warmup` samples are dropped unless the run is too short to
-        spare them.
+        The first WARMUP_FRAMES samples are dropped unless the run is too short
+        to spare them.
         """
-        if len(samples) > warmup:
-            kept = samples[warmup:]
-            excluded = warmup
-        else:
-            kept = samples
-            excluded = 0
+        excluded = WARMUP_FRAMES if len(samples) > WARMUP_FRAMES else 0
         by_count: dict[int, list[float]] = {}
-        for count, elapsed_us in kept:
+        for count, elapsed_us in samples[excluded:]:
             by_count.setdefault(count, []).append(elapsed_us)
         groups = {}
         for count, values in sorted(by_count.items()):
-            arr = np.asarray(values)
-            p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
+            p50, p95, p99 = np.percentile(values, [50.0, 95.0, 99.0])
             groups[count] = LatencyStats(len(values), float(p50), float(p95), float(p99))
         return cls(groups=groups, warmup_excluded=excluded)
 
@@ -249,10 +241,9 @@ def run_frames(frames: Iterable[FrameRecord], config: Optional[EngineConfig] = N
 
 
 def bench(
-    scenario_names: Sequence[str],
+    scenarios: Sequence[ScenarioSpec],
     repetitions: int = 20,
     config: Optional[EngineConfig] = None,
-    embedding_dim: Optional[int] = None,
 ) -> BenchReport:
     """Measure per-frame engine latency over pre-generated scenario frames.
 
@@ -262,9 +253,10 @@ def bench(
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    if not scenarios:
+        raise ValueError("bench needs at least one scenario")
     cfg = config or EngineConfig()
-    dim = embedding_dim or cfg.embedding_dim or DEFAULT_EMBEDDING_DIM
-    frame_sets = [generate(make_scenario(name, dim), cfg.layout)[0] for name in scenario_names]
+    frame_sets = [generate(spec, cfg.layout)[0] for spec in scenarios]
     samples: list[tuple[int, float]] = []
     for _ in range(repetitions):
         for frames in frame_sets:
@@ -281,62 +273,59 @@ class CalibrationRow:
     runs: int
 
 
+_GRID_AXES = ("feature_threshold", "spatial_threshold", "miss_limit")
+
+
+def _score(ledger: CountLedger, truth: GroundTruth) -> float:
+    report = evaluate(ledger, truth)
+    if report is None:  # nothing to count: full marks only for silence
+        return 100.0 if ledger.ins == 0 and ledger.outs == 0 else 0.0
+    return report.accuracy_percent
+
+
 def calibrate(
     grid: dict,
-    scenario_names: Sequence[str],
+    scenarios: Sequence[ScenarioSpec],
     seeds: Sequence[int] = (1, 2, 3),
     config: Optional[EngineConfig] = None,
-    scenarios: Optional[Sequence[ScenarioSpec]] = None,
 ) -> list[CalibrationRow]:
     """Sweep tracker thresholds over simulated scenarios; rank by accuracy.
 
-    `grid` maps any of feature_threshold / spatial_threshold / miss_limit to
-    candidate lists; omitted axes stay at the base config. Each candidate is
-    scored by mean accuracy over every (scenario, seed) pair; a scenario with
-    no expected events scores 100 when the engine stays silent, else 0. Rows
-    are ranked best-first with ties broken toward smaller miss_limit, then
-    smaller feature_threshold, then smaller spatial_threshold, so the ranking
-    is fully deterministic.
+    `grid` is a JSON object mapping any of feature_threshold /
+    spatial_threshold / miss_limit to a non-empty array of candidates, each
+    held to the config file's number rule; omitted axes stay at the base
+    config. Each candidate is scored by mean accuracy over every (scenario,
+    seed) pair; a scenario with no expected events scores 100 when the engine
+    stays silent, else 0. Rows are ranked best-first with ties broken toward
+    smaller miss_limit, then smaller feature_threshold, then smaller
+    spatial_threshold, so the ranking is fully deterministic.
     """
+    if not scenarios or not seeds:
+        raise ValueError("calibrate needs at least one scenario and one seed")
     cfg = config or EngineConfig()
-    dim = cfg.embedding_dim or DEFAULT_EMBEDDING_DIM
-    feature_values = list(grid.get("feature_threshold", [cfg.tracker.feature_threshold]))
-    spatial_values = list(grid.get("spatial_threshold", [cfg.tracker.spatial_threshold]))
-    miss_values = list(grid.get("miss_limit", [cfg.tracker.miss_limit]))
-    unknown = set(grid) - {"feature_threshold", "spatial_threshold", "miss_limit"}
-    if unknown:
-        raise ConfigError(f"unknown calibration axes: {sorted(unknown)}")
-    if not (feature_values and spatial_values and miss_values):
-        raise ConfigError("calibration grid axes must be non-empty")
-    base_specs = list(scenarios) if scenarios is not None else [
-        make_scenario(name, dim) for name in scenario_names
+    if not isinstance(grid, dict):
+        raise ConfigError("grid must be a JSON object")
+    for name, values in grid.items():
+        if name not in _GRID_AXES:
+            raise ConfigError(f"unknown calibration axis: {name!r}")
+        if type(values) is not list or not values:
+            raise ConfigError(f"grid.{name} must be a non-empty JSON array, got {values!r}")
+        for value in values:
+            _typed({name: value}, "grid")
+    axes = [grid.get(name, [getattr(cfg.tracker, name)]) for name in _GRID_AXES]
+    points = list(itertools.product(*axes))
+    try:
+        trackers = [replace(cfg.tracker, **dict(zip(_GRID_AXES, point))) for point in points]
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from None
+    prepared = [
+        generate(replace(spec, seed=seed), cfg.layout) for spec in scenarios for seed in seeds
     ]
-    specs = [replace(spec, seed=seed) for spec in base_specs for seed in seeds]
-    prepared = [generate(spec, cfg.layout) for spec in specs]
-    rows: list[CalibrationRow] = []
-    for t, d, e in itertools.product(feature_values, spatial_values, miss_values):
-        tracker_cfg = replace(
-            cfg.tracker, feature_threshold=float(t), spatial_threshold=float(d), miss_limit=int(e)
-        )
-        candidate = replace(cfg, tracker=tracker_cfg)
-        scores = []
-        for frames, truth in prepared:
-            result = run_frames(frames, candidate)
-            report = evaluate(result.ledger, truth)
-            if report is None:
-                silent = result.ledger.ins == 0 and result.ledger.outs == 0
-                scores.append(100.0 if silent else 0.0)
-            else:
-                scores.append(report.accuracy_percent)
-        rows.append(
-            CalibrationRow(
-                feature_threshold=float(t),
-                spatial_threshold=float(d),
-                miss_limit=int(e),
-                mean_accuracy=float(np.mean(scores)),
-                runs=len(scores),
-            )
-        )
+    rows = []
+    for point, tracker in zip(points, trackers):
+        candidate = replace(cfg, tracker=tracker)
+        scores = [_score(run_frames(frames, candidate).ledger, truth) for frames, truth in prepared]
+        rows.append(CalibrationRow(*point, float(np.mean(scores)), len(scores)))
     rows.sort(
         key=lambda r: (-r.mean_accuracy, r.miss_limit, r.feature_threshold, r.spatial_threshold)
     )

@@ -9,6 +9,7 @@ deterministic for a fixed scenario, so streams replay byte-identically.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -195,8 +196,8 @@ def generate(
                 continue
             x, y = pos
             if noise.center_jitter_sigma > 0.0:
-                x = float(np.clip(x + rng.normal(0.0, noise.center_jitter_sigma), 0.0, 1.0))
-                y = float(np.clip(y + rng.normal(0.0, noise.center_jitter_sigma), 0.0, 1.0))
+                x = min(max(x + rng.normal(0.0, noise.center_jitter_sigma), 0.0), 1.0)
+                y = min(max(y + rng.normal(0.0, noise.center_jitter_sigma), 0.0), 1.0)
             embedding = actor.base_embedding
             if noise.embedding_noise_sigma > 0.0:
                 embedding = embedding + rng.normal(
@@ -227,8 +228,6 @@ def evaluate(ledger: CountLedger, truth: GroundTruth) -> Optional[AccuracyReport
 
 def write_ground_truth(truth: GroundTruth, fp) -> int:
     """Write ground-truth events as line-delimited JSON sidecar records."""
-    import json
-
     count = 0
     for kind, actor_id, frame_id in truth.events:
         fp.write(

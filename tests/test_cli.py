@@ -158,3 +158,29 @@ class TestCalibrate:
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps({"warp": [1]}))
         assert main(["calibrate", "--grid", str(grid), "--scenarios", "clean_entry"]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"feature_threshold": "0.35"}',
+            '{"miss_limit": [2.5, true]}',
+            '{"feature_threshold": ["0.3"]}',
+            None,  # no file at the grid path
+        ],
+    )
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, text):
+        grid = tmp_path / "grid.json"
+        if text is not None:
+            grid.write_text(text)
+        assert main(["calibrate", "--grid", str(grid), "--scenarios", "clean_entry"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", ["bench", "calibrate"])
+def test_no_scenarios_is_input_error(tmp_path, capsys, command):
+    grid = tmp_path / "grid.json"
+    grid.write_text("{}")
+    extra = ["--grid", str(grid)] if command == "calibrate" else []
+    assert main([command, "--scenarios", "", *extra]) == 1
+    assert "at least one scenario" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package in `src/`."""
+"""Every demo script, and the README's library quick start, runs to completion
+against the package in `src/`."""
 import os
 import subprocess
 import sys
@@ -10,14 +11,26 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
+def run_python(args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def test_demos_found():
     assert DEMOS, f"no demo scripts under {ROOT / 'demos'}"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_python([str(demo)])
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_quick_start_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Quick start (library)\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr

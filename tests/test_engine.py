@@ -9,6 +9,7 @@ import pytest
 
 from headcount.counter import Orientation, RegionLayout, write_events
 from headcount.engine import (
+    WARMUP_FRAMES,
     BenchReport,
     ConfigError,
     EngineConfig,
@@ -168,7 +169,7 @@ class TestEngineConfig:
 
 class TestBench:
     def test_report_structure_and_order(self):
-        report = bench(["multi_3"], repetitions=2, embedding_dim=DIM)
+        report = bench([make_scenario("multi_3", DIM)], repetitions=2)
         assert set(report.groups) == {0, 1, 2, 3}
         for stats in report.groups.values():
             assert stats.p50_us <= stats.p95_us <= stats.p99_us
@@ -178,22 +179,32 @@ class TestBench:
 
     def test_warmup_exclusion(self):
         samples = [(0, 1.0)] * 60
-        report = BenchReport.from_samples(samples, warmup=50)
-        assert report.warmup_excluded == 50
-        assert report.groups[0].samples == 10
-        short = BenchReport.from_samples(samples[:20], warmup=50)
+        report = BenchReport.from_samples(samples)
+        assert report.warmup_excluded == WARMUP_FRAMES
+        assert report.groups[0].samples == 60 - WARMUP_FRAMES
+        short = BenchReport.from_samples(samples[:20])
         assert short.warmup_excluded == 0
         assert short.groups[0].samples == 20
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):
-            bench(["multi_3"], repetitions=0)
+            bench([make_scenario("multi_3", DIM)], repetitions=0)
+
+    def test_rejects_no_scenarios(self):
+        with pytest.raises(ValueError, match="scenario"):
+            bench([])
+
+    def test_runs_non_catalog_spec(self):
+        spec = random_crossings(3, actors=3, embedding_dim=DIM)
+        report = bench([spec], repetitions=1)
+        kept = sum(stats.samples for stats in report.groups.values())
+        assert kept + report.warmup_excluded == spec.duration_frames
 
 
 class TestCalibrate:
     def test_ranking_and_tie_breaks(self):
         grid = {"feature_threshold": [0.5, 0.3], "miss_limit": [8, 2]}
-        rows = calibrate(grid, ["clean_entry"], seeds=[1], config=EngineConfig(embedding_dim=DIM))
+        rows = calibrate(grid, [make_scenario("clean_entry", DIM)], seeds=[1])
         assert len(rows) == 4
         # all scores equal on a clean scenario -> ordered by miss_limit then threshold
         assert [(r.miss_limit, r.feature_threshold) for r in rows] == [
@@ -206,21 +217,45 @@ class TestCalibrate:
 
     def test_deterministic(self):
         grid = {"feature_threshold": [0.3, 0.4]}
-        a = calibrate(grid, ["crossing_pair"], seeds=[1, 2], config=EngineConfig(embedding_dim=DIM))
-        b = calibrate(grid, ["crossing_pair"], seeds=[1, 2], config=EngineConfig(embedding_dim=DIM))
+        a = calibrate(grid, [make_scenario("crossing_pair", DIM)], seeds=[1, 2])
+        b = calibrate(grid, [make_scenario("crossing_pair", DIM)], seeds=[1, 2])
         assert a == b
 
     def test_silent_scenarios_score_when_quiet(self):
-        rows = calibrate({}, ["oscillation"], seeds=[1], config=EngineConfig(embedding_dim=DIM))
+        rows = calibrate({}, [make_scenario("oscillation", DIM)], seeds=[1])
         assert rows[0].mean_accuracy == 100.0
 
     def test_rejects_unknown_axis(self):
         with pytest.raises(ConfigError):
-            calibrate({"velocity": [1]}, ["clean_entry"])
+            calibrate({"velocity": [1]}, [make_scenario("clean_entry", DIM)])
 
     def test_rejects_empty_axis(self):
         with pytest.raises(ConfigError):
-            calibrate({"miss_limit": []}, ["clean_entry"])
+            calibrate({"miss_limit": []}, [make_scenario("clean_entry", DIM)])
+
+    @pytest.mark.parametrize(
+        "grid, field",
+        [
+            ([], "grid"),
+            ({"feature_threshold": "0.35"}, "grid.feature_threshold"),
+            ({"miss_limit": [2.5, True]}, "grid.miss_limit"),
+            ({"miss_limit": [2, True]}, "grid.miss_limit"),
+            ({"feature_threshold": ["0.3"]}, "grid.feature_threshold"),
+            ({"spatial_threshold": [0.2, -1.0]}, "spatial_threshold"),
+        ],
+    )
+    def test_grid_follows_the_number_rule(self, grid, field):
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            calibrate(grid, [make_scenario("clean_entry", DIM)], seeds=[1])
+
+    @pytest.mark.parametrize(
+        "names, seeds", [([], [1]), (["clean_entry"], []), (["clean_entry"], ())]
+    )
+    def test_rejects_no_scenarios_or_seeds(self, names, seeds):
+        specs = [make_scenario(name, DIM) for name in names]
+        with pytest.raises(ValueError, match="scenario and one seed") as info:
+            calibrate({}, specs, seeds=seeds)
+        assert not isinstance(info.value, ConfigError)
 
 
 class TestFrameGaps:
