@@ -10,18 +10,23 @@ import numpy as np
 
 import headcount as hc
 
-# --- build two frames: a head plus a chair, then a lone low-confidence head
-head = hc.DetectionRecord(
-    hc.DetectionClass.HEAD, 0.97, hc.BoundingBox(0.46, 0.06, 0.54, 0.14), np.ones(8)
-)
-chair = hc.DetectionRecord(hc.DetectionClass.CHAIR, 0.89, hc.BoundingBox(0.1, 0.7, 0.3, 0.9))
-weak_head = hc.DetectionRecord(
-    hc.DetectionClass.HEAD, 0.40, hc.BoundingBox(0.7, 0.4, 0.78, 0.48), np.ones(8)
-)
+# --- build two frames: a head plus a chair, then a lone low-confidence head.
+# Each row is (class, conf, box, emb or None); a frame's rows become one
+# block of columns, validated once.
+HEAD, CHAIR = hc.DetectionClass.HEAD, hc.DetectionClass.CHAIR
 frames = [
-    hc.FrameRecord(0, 0, [head, chair], lighting=hc.LightingMode.DAY),
-    hc.FrameRecord(1, 50, [weak_head]),
+    hc.FrameRecord(
+        0,
+        0,
+        hc.Detections.from_rows(
+            [(HEAD, 0.97, (0.46, 0.06, 0.54, 0.14), np.ones(8)), (CHAIR, 0.89, (0.1, 0.7, 0.3, 0.9), None)]
+        ),
+        lighting=hc.LightingMode.DAY,
+    ),
+    hc.FrameRecord(1, 50, hc.Detections.from_rows([(HEAD, 0.40, (0.7, 0.4, 0.78, 0.48), np.ones(8))])),
 ]
+print("frame 0 columns: labels", [label.value for label in frames[0].detections.labels],
+      "centers", frames[0].detections.centers.tolist())
 
 buf = io.StringIO()
 hc.write_stream(frames, buf)
@@ -36,7 +41,7 @@ print(f"\nparsed {len(parsed)} frames back; frame 0 lighting = {parsed[0].lighti
 
 # --- distraction filtering: the chair never reaches the tracker
 kept = hc.filter_heads(parsed[0], min_confidence=0.5)
-print(f"frame 0 detections {len(parsed[0].detections)} -> heads kept {len(kept)}")
+print(f"frame 0 detections {len(parsed[0].detections)} -> heads kept at rows {kept.tolist()}")
 kept = hc.filter_heads(parsed[1], min_confidence=0.5)
 print(f"frame 1 head at confidence 0.40 with floor 0.5 -> kept {len(kept)}")
 

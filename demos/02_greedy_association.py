@@ -29,14 +29,16 @@ spatial = np.array([[0.20]])  # farther than the 0.1 gate
 result = hc.associate(hc.DistanceMatrices(feature, spatial), config)
 print("gated case matches:    ", result.matches, "- appearance alone is not enough")
 
-# --- full tracker steps: ids persist across misses up to the limit
+# --- full tracker steps: ids persist across misses up to the limit. The
+# tracker takes the head rows of a frame as arrays: embeddings and centers.
 tracker = hc.Tracker(hc.TrackerConfig(miss_limit=2))
 emb = np.zeros(16)
 emb[0] = 1.0
-det = hc.DetectionRecord(hc.DetectionClass.HEAD, 0.95, hc.BoundingBox(0.46, 0.46, 0.54, 0.54), emb)
-print("\nframe 0:", tracker.step([det], 0))
-print("frame 1:", tracker.step([], 1), "<- missed once")
-print("frame 2:", tracker.step([det], 2), "<- re-detected, same id")
+seen = hc.Detections.from_rows([(hc.DetectionClass.HEAD, 0.95, (0.46, 0.46, 0.54, 0.54), emb)])
+empty = hc.Detections.from_rows()
+print("\nframe 0:", tracker.step(seen.embeddings, seen.centers, 0))
+print("frame 1:", tracker.step(empty.embeddings, empty.centers, 1), "<- missed once")
+print("frame 2:", tracker.step(seen.embeddings, seen.centers, 2), "<- re-detected, same id")
 for frame in range(3, 6):
-    print(f"frame {frame}:", tracker.step([], frame))
+    print(f"frame {frame}:", tracker.step(empty.embeddings, empty.centers, frame))
 print("tracks left after the miss limit ran out:", len(tracker.objects))

@@ -4,7 +4,8 @@ The package tracks detected heads across frames by greedy appearance-feature
 association with a spatial gate, converts per-track region histories into
 entry/exit events via a three-region state machine, and ships a deterministic
 scenario simulator plus bench/calibration harnesses to verify accuracy and
-latency at desk scale. Embeddings are plain 1-D numpy vectors.
+latency at desk scale. A frame's detections are one `Detections` block of numpy
+columns, validated once as the frame is parsed or built.
 """
 
 from .counter import (
@@ -38,9 +39,8 @@ from .engine import (
 )
 from .ingest import (
     DEFAULT_EMBEDDING_DIM,
-    BoundingBox,
     DetectionClass,
-    DetectionRecord,
+    Detections,
     EmbeddingDimensionError,
     FrameRecord,
     LightingMode,

@@ -30,7 +30,7 @@ def _read_json(path: str, what: str):
 
 def _scenarios(names: list[str], config: EngineConfig, dim: int | None = None) -> list:
     """Catalog specs at `dim`, else at the config's embedding_dim, else at the default."""
-    dim = dim or config.embedding_dim or DEFAULT_EMBEDDING_DIM
+    dim = (config.embedding_dim or DEFAULT_EMBEDDING_DIM) if dim is None else dim
     return [make_scenario(name, dim) for name in names]
 
 
@@ -95,6 +95,8 @@ def _cmd_bench(args, config: EngineConfig) -> int:
 
 
 def _cmd_calibrate(args, config: EngineConfig) -> int:
+    if args.top < 0:
+        raise ValueError(f"--top must be >= 0 (0 = all rows), got {args.top}")
     names = [n for n in args.scenarios.split(",") if n]
     seeds = [int(s) for s in args.seeds.split(",") if s]
     rows = calibrate(_read_json(args.grid, "grid"), _scenarios(names, config), seeds, config)

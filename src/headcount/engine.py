@@ -159,8 +159,9 @@ class Engine:
         """Run one frame through filter -> track -> count; returns new events."""
         mode = frame.lighting
         self.lighting_counts[mode.value if mode is not None else "unknown"] += 1
-        heads = filter_heads(frame, self.config.min_confidence)
-        self.tracker.step(heads, frame.frame_id)
+        kept = filter_heads(frame, self.config.min_confidence)
+        dets = frame.detections
+        self.tracker.step(dets.embeddings[kept], dets.centers[kept], frame.frame_id)
         events: list[CrossingEvent] = []
         for track in self.tracker.objects:
             region = classify_region(track.center[1], self.config.layout)

@@ -1,4 +1,4 @@
-"""Detection-stream data model: records, lighting classification, head filtering.
+"""Detection-stream data model: columnar frames, lighting classification, head filtering.
 
 The engine consumes detections produced by an external detector, one frame
 per line in a newline-delimited JSON stream:
@@ -13,13 +13,15 @@ distraction classes (chair, trolley, bag). Box coordinates are normalized to
 [0, 1] with the origin at the top-left and y growing downward, which keeps
 every downstream threshold independent of camera resolution.
 
-Every record is validated here, once, as it enters: the tracker and counter
-trust what `parse_stream` yields. Embeddings default to DEFAULT_EMBEDDING_DIM
-components.
+Each frame's detections become one `Detections` block of columns, validated
+here, once, as it enters: the tracker and counter trust what `parse_stream`
+yields. Embeddings default to DEFAULT_EMBEDDING_DIM components.
 """
 from __future__ import annotations
 
 import json
+import numbers
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
@@ -34,6 +36,10 @@ class DetectionClass(Enum):
     CHAIR = "chair"
     TROLLEY = "trolley"
     BAG = "bag"
+
+
+# Members and their wire names to members: a dict lookup costs far less than an Enum call.
+_CLASSES = {key: label for label in DetectionClass for key in (label, label.value)}
 
 
 class LightingMode(Enum):
@@ -66,55 +72,100 @@ class EmbeddingDimensionError(StreamError):
     """All embeddings in one stream must share a single dimension."""
 
 
-def validate_embedding(values) -> np.ndarray:
-    """Coerce to a 1-D float vector with finite components and a non-zero norm."""
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("embedding must be a non-empty 1-D vector")
-    if not np.isfinite(arr).all():
+def validate_embedding(block: np.ndarray) -> None:
+    """The embedding rule for an (n, d) block: d >= 1, all finite, no zero row."""
+    if block.ndim != 2 or (len(block) > 0 and block.shape[1] == 0):
+        raise ValueError("embedding must have at least one component")
+    if np.count_nonzero(np.isfinite(block)) < block.size:
         raise ValueError("embedding components must be finite")
-    if not arr @ arr > 0.0:
+    if np.count_nonzero(np.einsum("ij,ij->i", block, block) > 0.0) < len(block):
         raise ValueError("embedding has zero norm: cosine distance is undefined for a zero vector")
-    return arr
 
 
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in normalized frame coordinates."""
+# The stream's number rule: a JSON true/false or string is not a number.
+_NUMBERS = frozenset((int, float))
 
-    x_min: float
-    y_min: float
-    x_max: float
-    y_max: float
+
+def _is_number_row(row) -> bool:
+    """Whether an `emb` row is a flat array of numbers, none of them a bool. A
+    bool would stack as 1 or 0 among numbers, so a list is checked by the type
+    of every value, whatever the values are; an ndarray by its dtype."""
+    if isinstance(row, np.ndarray):
+        return row.ndim == 1 and row.dtype.kind in "iuf"
+    if not isinstance(row, (list, tuple)):
+        return False
+    kinds = set(map(type, row))
+    return kinds <= _NUMBERS or all(issubclass(kind, numbers.Real) and kind is not bool for kind in kinds)
+
+
+def _embedding_block(rows: list) -> np.ndarray:
+    """Stack embedding rows into one (n, d) float block; all rows share one length."""
+    for row in rows:
+        if not _is_number_row(row):
+            raise ValueError(f"emb must be a flat array of numbers, got {reprlib.repr(row)}")
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:  # ragged rows
+        lengths = sorted(set(map(len, rows)))
+        raise EmbeddingDimensionError(f"emb lengths {lengths} differ within one frame") from None
+
+
+@dataclass(frozen=True, eq=False)
+class Detections:
+    """One frame's detections as columns, row i of each being detection i, and
+    validated once, here. `boxes` rows are (x_min, y_min, x_max, y_max); an
+    `embeddings` row is zeros where `has_embedding` is false. Build with `from_rows`."""
+
+    labels: tuple[DetectionClass, ...]
+    confidences: np.ndarray
+    boxes: np.ndarray
+    embeddings: np.ndarray
+    has_embedding: np.ndarray
 
     def __post_init__(self):
-        coords = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(0.0 <= c <= 1.0 for c in coords):
-            raise ValueError(f"box coordinates must lie in [0, 1], got {coords}")
-        if not (self.x_min < self.x_max and self.y_min < self.y_max):
-            raise ValueError(f"box must have positive extent, got {coords}")
+        n = len(self.labels)
+        shapes = (self.confidences.shape, self.boxes.shape, self.has_embedding.shape)
+        if shapes != ((n,), (n, 4), (n,)) or self.embeddings.ndim != 2 or len(self.embeddings) != n:
+            raise ValueError(f"every column must hold one row for each of the {n} detections")
+        # Scalar checks: on a frame's few rows they cost less than array operations.
+        rows = zip(self.labels, self.confidences.tolist(), self.boxes.tolist(), self.has_embedding.tolist())
+        for i, (label, conf, (x0, y0, x1, y1), has_emb) in enumerate(rows):
+            if not 0.0 <= conf <= 1.0:
+                rule = "confidence must be in [0, 1]"
+            elif not (0.0 <= x0 < x1 <= 1.0 and 0.0 <= y0 < y1 <= 1.0):
+                rule = "box must lie in [0, 1] with positive extent"
+            elif label is DetectionClass.HEAD and not has_emb:
+                rule = "head detections must carry an embedding"
+            else:
+                continue
+            raise ValueError(f"detection {i}: {rule}, got conf {conf} and box {[x0, y0, x1, y1]}")
+        validate_embedding(self.embeddings[self.has_embedding])
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple] = ()) -> "Detections":
+        """Build from (class, conf, box, emb or None) rows; a class may be its wire name."""
+        rows = list(rows)
+        n = len(rows)
+        classes, confs, boxes, embs = zip(*rows) if rows else ((), (), (), ())
+        has_embedding = np.array([emb is not None for emb in embs], dtype=bool)
+        embedded = [emb for emb in embs if emb is not None]
+        block = _embedding_block(embedded) if embedded else np.zeros((0, 0))
+        embeddings = np.zeros((n, block.shape[1]))
+        embeddings[has_embedding] = block
+        try:
+            labels = tuple(map(_CLASSES.__getitem__, classes))
+        except (KeyError, TypeError) as exc:  # TypeError: an unhashable class, e.g. a JSON array
+            raise ValueError(f"unknown detection class: {exc}") from None
+        return cls(labels, np.array(confs, dtype=float), np.array(boxes, dtype=float).reshape(n, 4),
+                   embeddings, has_embedding)
+
+    def __len__(self) -> int:
+        return len(self.labels)
 
     @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0)
-
-
-@dataclass
-class DetectionRecord:
-    """One detector output. Heads carry an appearance embedding."""
-
-    class_label: DetectionClass
-    confidence: float
-    box: BoundingBox
-    embedding: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
-        if self.embedding is not None:
-            self.embedding = validate_embedding(self.embedding)
-        elif self.class_label is DetectionClass.HEAD:
-            raise ValueError("head detections must carry an embedding")
+    def centers(self) -> np.ndarray:
+        """Box centers, (n, 2)."""
+        return (self.boxes[:, :2] + self.boxes[:, 2:]) / 2.0
 
 
 @dataclass
@@ -123,7 +174,7 @@ class FrameRecord:
 
     frame_id: int
     timestamp_ms: int
-    detections: list[DetectionRecord] = field(default_factory=list)
+    detections: Detections = field(default_factory=Detections.from_rows)
     lighting: Optional[LightingMode] = None
 
 
@@ -168,54 +219,24 @@ def sample_pixel_grid(image, grid: tuple[int, int] = (10, 10)) -> np.ndarray:
     return img[np.ix_(rows, cols)][..., :3].reshape(-1, 3)
 
 
-def filter_heads(frame: FrameRecord, min_confidence: float = 0.5) -> list[DetectionRecord]:
-    """Keep head detections at or above the confidence floor, in input order.
+def filter_heads(frame: FrameRecord, min_confidence: float = 0.5) -> np.ndarray:
+    """Indices of the head detections at or above the confidence floor, in input order.
 
     Distraction classes (chair, trolley, bag) are dropped regardless of
-    confidence; records are never relabeled.
+    confidence; detections are never relabeled.
     """
     if not 0.0 <= min_confidence <= 1.0:
         raise ValueError(f"min_confidence must be in [0, 1], got {min_confidence}")
-    return [
-        det
-        for det in frame.detections
-        if det.class_label is DetectionClass.HEAD and det.confidence >= min_confidence
-    ]
+    dets = frame.detections
+    rows = enumerate(zip(dets.labels, dets.confidences.tolist()))
+    kept = [i for i, (label, conf) in rows if label is DetectionClass.HEAD and conf >= min_confidence]
+    return np.array(kept, dtype=np.intp)
 
 
 def _require(obj: dict, key: str, line_number: int):
     if key not in obj:
         raise StreamParseError(f"missing field '{key}'", line_number)
     return obj[key]
-
-
-def _detection_from_obj(obj: dict, line_number: int) -> DetectionRecord:
-    if not isinstance(obj, dict):
-        raise StreamParseError("detection entries must be objects", line_number)
-    raw_class = _require(obj, "class", line_number)
-    try:
-        label = DetectionClass(raw_class)
-    except ValueError:
-        raise StreamParseError(f"unknown detection class {raw_class!r}", line_number) from None
-    raw_box = _require(obj, "box", line_number)
-    if not (isinstance(raw_box, (list, tuple)) and len(raw_box) == 4):
-        raise StreamParseError("box must be [x_min, y_min, x_max, y_max]", line_number)
-    raw_conf = _require(obj, "conf", line_number)
-    # type(), not isinstance(): a JSON true is a bool, an int subclass, and must not read as 1
-    if any(type(v) not in (int, float) for v in (raw_conf, *raw_box)):
-        raise StreamParseError(
-            f"conf and box values must be JSON numbers, got {raw_conf!r} and {raw_box!r}", line_number
-        )
-    try:
-        box = BoundingBox(*(float(v) for v in raw_box))
-        return DetectionRecord(
-            class_label=label,
-            confidence=float(raw_conf),
-            box=box,
-            embedding=obj.get("emb"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise StreamParseError(str(exc), line_number) from None
 
 
 def _frame_from_obj(obj, line_number: int) -> FrameRecord:
@@ -238,7 +259,24 @@ def _frame_from_obj(obj, line_number: int) -> FrameRecord:
         raise StreamParseError(
             f"frame_id and ts_ms must be JSON integers, got {frame_id!r} and {ts_ms!r}", line_number
         )
-    detections = [_detection_from_obj(d, line_number) for d in raw_dets]
+    rows = []
+    for det in raw_dets:
+        if not isinstance(det, dict):
+            raise StreamParseError("detection entries must be objects", line_number)
+        raw_class, raw_conf, raw_box = (_require(det, key, line_number) for key in ("class", "conf", "box"))
+        if not (isinstance(raw_box, list) and len(raw_box) == 4):
+            raise StreamParseError("box must be [x_min, y_min, x_max, y_max]", line_number)
+        # type(), not isinstance(): a JSON true is a bool, an int subclass, and must not read as 1
+        if any(type(v) not in _NUMBERS for v in (raw_conf, *raw_box)):
+            message = f"conf and box values must be JSON numbers, got {raw_conf!r} and {raw_box!r}"
+            raise StreamParseError(message, line_number)
+        rows.append((raw_class, raw_conf, raw_box, det.get("emb")))
+    try:
+        detections = Detections.from_rows(rows)
+    except EmbeddingDimensionError as exc:
+        raise EmbeddingDimensionError(str(exc), line_number) from None
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an integer beyond float range
+        raise StreamParseError(str(exc), line_number) from None
     return FrameRecord(frame_id=frame_id, timestamp_ms=ts_ms, detections=detections, lighting=lighting)
 
 
@@ -278,16 +316,13 @@ def parse_stream(
             raise StreamOrderError(
                 f"timestamp {frame.timestamp_ms} goes backward past {last_ts}", line_number
             )
-        for det in frame.detections:
-            if det.embedding is None:
-                continue
-            if expected_dim is None:
-                expected_dim = det.embedding.size
-            elif det.embedding.size != expected_dim:
-                raise EmbeddingDimensionError(
-                    f"embedding length {det.embedding.size} != stream dimension {expected_dim}",
-                    line_number,
-                )
+        dim = frame.detections.embeddings.shape[1]
+        if dim and expected_dim is None:
+            expected_dim = dim
+        elif dim and dim != expected_dim:
+            raise EmbeddingDimensionError(
+                f"embedding length {dim} != stream dimension {expected_dim}", line_number
+            )
         last_frame_id = frame.frame_id
         last_ts = frame.timestamp_ms
         yield frame
@@ -298,17 +333,14 @@ def serialize_frame(frame: FrameRecord) -> str:
     obj: dict = {"frame_id": frame.frame_id, "ts_ms": frame.timestamp_ms}
     if frame.lighting is not None:
         obj["lighting"] = frame.lighting.value
-    dets = []
-    for det in frame.detections:
-        entry: dict = {
-            "class": det.class_label.value,
-            "conf": float(det.confidence),
-            "box": [det.box.x_min, det.box.y_min, det.box.x_max, det.box.y_max],
-        }
-        if det.embedding is not None:
-            entry["emb"] = det.embedding.tolist()
-        dets.append(entry)
-    obj["detections"] = dets
+    dets = frame.detections
+    obj["detections"] = [
+        {"class": label.value, "conf": conf, "box": box, **({"emb": emb.tolist()} if has_emb else {})}
+        for label, conf, box, emb, has_emb in zip(
+            dets.labels, dets.confidences.tolist(), dets.boxes.tolist(),
+            dets.embeddings, dets.has_embedding.tolist(),
+        )
+    ]
     return json.dumps(obj, separators=(",", ":"))
 
 

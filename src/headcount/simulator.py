@@ -26,7 +26,7 @@ from .counter import (
     accuracy,
     classify_region,
 )
-from .ingest import DEFAULT_EMBEDDING_DIM, BoundingBox, DetectionClass, DetectionRecord, FrameRecord
+from .ingest import DEFAULT_EMBEDDING_DIM, DetectionClass, Detections, FrameRecord
 
 HEAD_BOX_SIZE = 0.08
 HEAD_CONFIDENCE = 0.95
@@ -132,12 +132,12 @@ class GroundTruth:
     final_outs: int
 
 
-def _head_box(x: float, y: float) -> BoundingBox:
+def _head_box(x: float, y: float) -> tuple[float, float, float, float]:
     # Shift the box inward near frame edges so it stays normalized; the
     # center only deviates from (x, y) within half a box of the border.
     x0 = min(max(x - HEAD_BOX_SIZE / 2, 0.0), 1.0 - HEAD_BOX_SIZE)
     y0 = min(max(y - HEAD_BOX_SIZE / 2, 0.0), 1.0 - HEAD_BOX_SIZE)
-    return BoundingBox(x0, y0, x0 + HEAD_BOX_SIZE, y0 + HEAD_BOX_SIZE)
+    return (x0, y0, x0 + HEAD_BOX_SIZE, y0 + HEAD_BOX_SIZE)
 
 
 def _track(actor: ActorSpec, duration: int) -> dict[int, tuple[float, float]]:
@@ -155,7 +155,8 @@ def _ground_truth(spec: ScenarioSpec, tracks: list[dict], layout: RegionLayout) 
     for actor, track in zip(spec.actors, tracks):
         anchor = None
         for frame, pos in track.items():
-            region = classify_region(_head_box(*pos).center[1], layout)
+            _, y_min, _, y_max = _head_box(*pos)
+            region = classify_region((y_min + y_max) / 2.0, layout)
             if region is Region.B or region is anchor:
                 continue
             if anchor is not None:
@@ -179,15 +180,14 @@ def generate(
     """
     rng = np.random.default_rng(spec.seed)
     noise = spec.noise
-    distraction_records = [
-        DetectionRecord(d.class_label, d.confidence, _head_box(d.x, d.y), None)
-        for d in spec.distractions
+    distraction_rows = [
+        (d.class_label, d.confidence, _head_box(d.x, d.y), None) for d in spec.distractions
     ]
     tracks = [_track(actor, spec.duration_frames) for actor in spec.actors]
     frames: list[FrameRecord] = []
     for frame_idx in range(spec.duration_frames):
         ts_ms = round(frame_idx * 1000.0 / spec.fps)
-        detections: list[DetectionRecord] = []
+        rows: list[tuple] = []
         for actor, track in zip(spec.actors, tracks):
             pos = track.get(frame_idx)
             if pos is None or frame_idx in actor.missed_frames:
@@ -200,14 +200,9 @@ def generate(
                 y = min(max(y + rng.normal(0.0, noise.center_jitter_sigma), 0.0), 1.0)
             embedding = actor.base_embedding
             if noise.embedding_noise_sigma > 0.0:
-                embedding = embedding + rng.normal(
-                    0.0, noise.embedding_noise_sigma, embedding.shape
-                )
-            detections.append(
-                DetectionRecord(DetectionClass.HEAD, HEAD_CONFIDENCE, _head_box(x, y), embedding)
-            )
-        detections.extend(distraction_records)
-        frames.append(FrameRecord(frame_idx, ts_ms, detections))
+                embedding = embedding + rng.normal(0.0, noise.embedding_noise_sigma, embedding.shape)
+            rows.append((DetectionClass.HEAD, HEAD_CONFIDENCE, _head_box(x, y), embedding))
+        frames.append(FrameRecord(frame_idx, ts_ms, Detections.from_rows(rows + distraction_rows)))
     return frames, _ground_truth(spec, tracks, layout)
 
 

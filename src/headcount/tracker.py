@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .counter import Region
-from .ingest import DetectionRecord
 
 
 @dataclass(frozen=True)
@@ -78,15 +77,13 @@ class AssignmentResult:
 
 
 def build_matrices(
-    registered: Sequence[TrackedObject],
-    units: np.ndarray,
-    centers: Sequence[tuple[float, float]],
+    registered: Sequence[TrackedObject], units: np.ndarray, centers: np.ndarray
 ) -> DistanceMatrices:
     """Compute the feature and spatial distance matrices for one frame.
 
     `units` holds the n detections' unit-norm embedding rows, `centers` their
-    box centers. A feature cell is the cosine distance 1 - u.v, clipped into
-    [0, 2], with nothing re-normalised; a spatial cell is the center distance.
+    (n, 2) box centers. A feature cell is the cosine distance 1 - u.v, clipped
+    into [0, 2], with nothing re-normalised; a spatial cell is the center distance.
     """
     m, n = len(registered), len(centers)
     if m == 0 or n == 0:
@@ -94,8 +91,7 @@ def build_matrices(
     feature = 1.0 - np.stack([t.unit for t in registered]) @ units.T
     np.clip(feature, 0.0, 2.0, out=feature)
     track_centers = np.array([t.center for t in registered], dtype=float)
-    det_centers = np.array(centers, dtype=float)
-    delta = track_centers[:, None, :] - det_centers[None, :, :]
+    delta = track_centers[:, None, :] - centers[None, :, :]
     spatial = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
     return DistanceMatrices(feature, spatial)
 
@@ -163,21 +159,18 @@ class Tracker:
     def ids_issued(self) -> int:
         return self._next_id - 1
 
-    def step(
-        self,
-        detections: Sequence[DetectionRecord],
-        frame_id: int,
-    ) -> StepReport:
+    def step(self, embeddings: np.ndarray, centers: np.ndarray, frame_id: int) -> StepReport:
         """Advance one frame: match, register, age, and evict.
 
-        Detections must already be head-filtered; their embeddings are scaled
-        to unit rows once, as one (n, d) block. Matched tracks adopt the
-        detection's unit row and center outright (no averaging) and reset
-        their miss count. Unmatched detections become new tracks with an empty
-        region history, which the counter fills. Unmatched tracks age by one
-        miss, and anything whose miss count exceeds the limit is removed before
-        the step returns; ids are never reused. Each frame id skipped since the
-        previous step first ages every track by one miss, as an empty frame would.
+        `embeddings` (n, d) and `centers` (n, 2) hold the frame's head-filtered
+        detections; the embeddings are scaled to unit rows once, as one block.
+        Matched tracks adopt the detection's unit row and center outright (no
+        averaging) and reset their miss count. Unmatched detections become new
+        tracks with an empty region history, which the counter fills. Unmatched
+        tracks age by one miss, and anything whose miss count exceeds the limit
+        is removed before the step returns; ids are never reused. Each frame id
+        skipped since the previous step first ages every track by one miss, as
+        an empty frame would.
         """
         evicted: list[int] = []
         if self.objects and frame_id > self._frame_id + 1:
@@ -185,25 +178,22 @@ class Tracker:
                 track.e_count += frame_id - self._frame_id - 1
             evicted = self._evict()
         self._frame_id = frame_id
-        units = np.zeros((0, 0))
-        if detections:
-            embeddings = np.stack([d.embedding for d in detections])
-            units = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
-        centers = [d.box.center for d in detections]
+        units = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
         matrices = build_matrices(self.objects, units, centers)
         result = associate(matrices, self.config)
+        points = list(map(tuple, centers.tolist()))
         created: list[int] = []
         matched: list[int] = []
         for i, j in result.matches:
             track = self.objects[i]
             track.unit = units[j]
-            track.center = centers[j]
+            track.center = points[j]
             track.e_count = 0
             matched.append(track.id)
         for i in result.unmatched_registered:
             self.objects[i].e_count += 1
         for j in result.unmatched_detections:
-            track = TrackedObject(id=self._next_id, unit=units[j], center=centers[j])
+            track = TrackedObject(id=self._next_id, unit=units[j], center=points[j])
             self._next_id += 1
             self.objects.append(track)
             created.append(track.id)

@@ -44,6 +44,14 @@ class TestSimulate:
             paths.append(out.read_text())
         assert paths[0] == paths[1]
 
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_non_positive_embedding_dim_is_input_error(self, tmp_path, capsys, dim):
+        out = tmp_path / "s.jsonl"
+        args = ["simulate", "--scenario", "clean_entry", "--out", str(out), "--embedding-dim", dim]
+        assert main(args) == 1
+        assert "embedding_dim" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scenario_is_input_error(self, tmp_path, capsys):
         code = main(["simulate", "--scenario", "nope", "--out", str(tmp_path / "x.jsonl")])
         assert code == 1
@@ -148,6 +156,20 @@ class TestCalibrate:
         assert code == 0
         out = capsys.readouterr().out
         assert "accuracy" in out and "100.00" in out
+
+    @pytest.mark.parametrize("top, shown", [("0", 2), ("1", 1), ("-1", None)])
+    def test_top_limits_rows(self, tmp_path, capsys, top, shown):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"feature_threshold": [0.3, 0.5]}))
+        args = ["calibrate", "--grid", str(grid), "--scenarios", "clean_entry", "--seeds", "1"]
+        code = main(args + ["--top", top])
+        captured = capsys.readouterr()
+        if shown is None:
+            assert code == 1
+            assert captured.err.startswith("error: ") and "--top" in captured.err
+        else:
+            assert code == 0
+            assert len(captured.out.splitlines()) == 1 + shown
 
     def test_bad_grid_json_is_config_error(self, tmp_path):
         grid = tmp_path / "grid.json"

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from headcount.ingest import (
-    BoundingBox,
     DetectionClass,
-    DetectionRecord,
+    Detections,
     EmbeddingDimensionError,
     FrameRecord,
     LightingMode,
@@ -26,16 +25,23 @@ from headcount.ingest import (
 
 
 def head(conf=0.95, box=(0.4, 0.4, 0.5, 0.5), emb=(1.0, 0.0)):
-    return DetectionRecord(DetectionClass.HEAD, conf, BoundingBox(*box), np.asarray(emb))
+    return (DetectionClass.HEAD, conf, box, np.asarray(emb))
 
 
-def chair(conf=0.89, box=(0.1, 0.1, 0.2, 0.2)):
-    return DetectionRecord(DetectionClass.CHAIR, conf, BoundingBox(*box), None)
+def chair(conf=0.89, box=(0.1, 0.1, 0.2, 0.2), emb=None):
+    return (DetectionClass.CHAIR, conf, box, emb)
+
+
+def frame_of(*rows):
+    return FrameRecord(0, 0, Detections.from_rows(rows))
 
 
 class TestBoundingBox:
+    """The box column and its centers."""
+
     def test_center(self):
-        assert BoundingBox(0.2, 0.4, 0.4, 0.8).center == (0.30000000000000004, 0.6000000000000001)
+        centers = Detections.from_rows([chair(box=(0.2, 0.4, 0.4, 0.8))]).centers
+        assert centers.tolist() == [[0.30000000000000004, 0.6000000000000001]]
 
     @pytest.mark.parametrize(
         "coords",
@@ -43,26 +49,85 @@ class TestBoundingBox:
     )
     def test_rejects_bad_geometry(self, coords):
         with pytest.raises(ValueError):
-            BoundingBox(*coords)
+            Detections.from_rows([head(), chair(box=coords)])
 
 
 class TestDetectionRecord:
+    """The per-detection rules, checked over every row of the frame at once."""
+
     def test_head_requires_embedding(self):
-        with pytest.raises(ValueError):
-            DetectionRecord(DetectionClass.HEAD, 0.9, BoundingBox(0.1, 0.1, 0.2, 0.2), None)
+        with pytest.raises(ValueError, match="embedding"):
+            Detections.from_rows([chair(), (DetectionClass.HEAD, 0.9, (0.1, 0.1, 0.2, 0.2), None)])
 
     def test_distraction_embedding_optional(self):
-        assert chair().embedding is None
+        dets = Detections.from_rows([head(emb=(3.0, 4.0)), chair(), chair(emb=(0.0, 2.0))])
+        assert dets.has_embedding.tolist() == [True, False, True]
+        assert dets.embeddings.tolist() == [[3.0, 4.0], [0.0, 0.0], [0.0, 2.0]]
+        assert Detections.from_rows([chair()]).embeddings.shape == (1, 0)
 
     def test_confidence_range(self):
         with pytest.raises(ValueError):
-            head(conf=1.2)
+            Detections.from_rows([head(), head(conf=1.2)])
+        with pytest.raises(ValueError):
+            Detections.from_rows([chair(conf=float("nan"))])
 
     def test_embedding_must_be_finite(self):
         with pytest.raises(ValueError):
-            head(emb=(1.0, float("nan")))
+            Detections.from_rows([head(), head(emb=(1.0, float("nan")))])
+        with pytest.raises(ValueError, match="zero vector"):
+            Detections.from_rows([head(), chair(emb=(0.0, 0.0))])
         with pytest.raises(ValueError):
-            validate_embedding([])
+            validate_embedding(np.zeros((1, 0)))
+        with pytest.raises(ValueError):
+            validate_embedding(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "emb",
+        [
+            ("1.5", 0.5), (True, 0.5), (0.5, False), (np.bool_(True), 0.5), np.array([True, False]),
+            ((1.0,), 0.5), [[1.0, 0.0]], np.array([[1.0, 0.0]]),
+        ],
+    )
+    def test_embedding_number_rule(self, emb):
+        with pytest.raises(ValueError):
+            Detections.from_rows([head(), (DetectionClass.HEAD, 0.9, (0.1, 0.1, 0.2, 0.2), emb)])
+
+    def test_integers_are_numbers(self):
+        dets = Detections.from_rows([head(emb=(2, 0)), (DetectionClass.BAG, 1, (0, 0, 1, 1), [10**30, 1])])
+        assert dets.embeddings.dtype == float
+        assert dets.embeddings.tolist() == [[2.0, 0.0], [1e30, 1.0]]
+        assert dets.confidences.tolist() == [0.95, 1.0]
+
+    def test_numpy_scalars_are_numbers(self):
+        """Rows are accepted or refused by the types of their values, never by the values."""
+        dets = Detections.from_rows(
+            [head(emb=(np.float64(1.0), np.float64(0.0))), head(emb=[np.float32(0.5), np.int64(1)])]
+        )
+        assert dets.embeddings.tolist() == [[1.0, 0.0], [0.5, 1.0]]
+
+    def test_embedding_lengths_differ(self):
+        with pytest.raises(EmbeddingDimensionError):
+            Detections.from_rows([head(emb=(1.0, 0.0)), chair(emb=(1.0, 0.0, 0.0))])
+
+    def test_columns_must_agree(self):
+        with pytest.raises(ValueError, match="one row"):
+            Detections(
+                labels=(DetectionClass.HEAD,),
+                confidences=np.ones(2),
+                boxes=np.array([[0.1, 0.1, 0.2, 0.2]]),
+                embeddings=np.ones((1, 2)),
+                has_embedding=np.ones(1, dtype=bool),
+            )
+
+    def test_wire_class_names_and_length(self):
+        dets = Detections.from_rows(
+            [("head", 0.9, (0.1, 0.1, 0.2, 0.2), (1.0,)), ("bag", 0.5, (0.3, 0.3, 0.4, 0.4), None)]
+        )
+        assert dets.labels == (DetectionClass.HEAD, DetectionClass.BAG)
+        assert len(dets) == 2
+        assert len(Detections.from_rows()) == 0
+        with pytest.raises(ValueError):
+            Detections.from_rows([("dog", 0.9, (0.1, 0.1, 0.2, 0.2), None)])
 
 
 class TestClassifyLighting:
@@ -135,27 +200,33 @@ class TestSamplePixelGrid:
 
 class TestFilterHeads:
     def test_drops_distractions(self):
-        frame = FrameRecord(0, 0, [head(0.95), chair(0.89)])
+        frame = frame_of(chair(0.89), head(0.95), chair(0.99))
         kept = filter_heads(frame, 0.5)
-        assert [d.class_label for d in kept] == [DetectionClass.HEAD]
-        assert kept[0].confidence == 0.95
+        assert kept.tolist() == [1]
+        assert frame.detections.labels[1] is DetectionClass.HEAD
+        assert frame.detections.confidences[kept].tolist() == [0.95]
 
     def test_empty_frame(self):
-        assert filter_heads(FrameRecord(0, 0, []), 0.5) == []
+        assert filter_heads(FrameRecord(0, 0), 0.5).tolist() == []
 
     def test_confidence_threshold(self):
-        frame = FrameRecord(0, 0, [head(0.40), head(0.70)])
+        frame = frame_of(head(0.40), head(0.70), head(0.5))
         kept = filter_heads(frame, 0.5)
-        assert [d.confidence for d in kept] == [0.70]
+        assert frame.detections.confidences[kept].tolist() == [0.70, 0.5]
 
-    @given(st.lists(st.sampled_from(["head", "chair", "bag"]), max_size=12), st.floats(0, 1))
-    def test_output_is_subsequence_never_relabeled(self, labels, threshold):
-        dets = [head() if lbl == "head" else chair() for lbl in labels]
-        frame = FrameRecord(0, 0, dets)
-        kept = filter_heads(frame, threshold)
-        it = iter(dets)
-        assert all(any(k is d for d in it) for k in kept)  # subsequence, same objects
-        assert all(k.class_label is DetectionClass.HEAD for k in kept)
+    @given(
+        st.lists(st.tuples(st.sampled_from(["head", "chair", "bag"]), st.floats(0, 1)), max_size=12),
+        st.floats(0, 1),
+    )
+    def test_output_is_subsequence_never_relabeled(self, dets, threshold):
+        rows = [head(conf) if lbl == "head" else chair(conf) for lbl, conf in dets]
+        frame = frame_of(*rows)
+        labels = frame.detections.labels
+        kept = filter_heads(frame, threshold).tolist()
+        assert kept == sorted(set(kept))  # a subsequence of the frame's rows, in order
+        assert kept == [i for i, (lbl, conf) in enumerate(dets) if lbl == "head" and conf >= threshold]
+        assert frame.detections.labels == labels  # nothing relabeled
+        assert all(labels[k] is DetectionClass.HEAD for k in kept)
 
 
 def stream_lines(*objs):
@@ -187,7 +258,7 @@ class TestParseStream:
         assert frames[0].lighting is LightingMode.DAY
         assert frames[1].lighting is None
         assert len(frames[1].detections) == 2
-        assert frames[1].detections[1].embedding is None
+        assert frames[1].detections.has_embedding.tolist() == [True, False]
 
     def test_accepts_bytes(self):
         raw = (json.dumps(frame_obj()) + "\n").encode()
@@ -219,6 +290,15 @@ class TestParseStream:
             list(parse_stream(src))
         assert err.value.line_number == 2
 
+    def test_embedding_lengths_differ_within_frame(self):
+        src = stream_lines(
+            frame_obj(0, 0, [det_obj()]),
+            frame_obj(1, 50, [det_obj(emb=(1.0, 0.0)), det_obj(emb=(1.0, 0.0, 0.0))]),
+        )
+        with pytest.raises(EmbeddingDimensionError) as err:
+            list(parse_stream(src))
+        assert err.value.line_number == 2
+
     def test_zero_norm_embedding_names_its_line(self):
         src = stream_lines(
             frame_obj(0, 0, [det_obj()]),
@@ -240,12 +320,17 @@ class TestParseStream:
             ("conf", "0.9"),
             ("box", [0.4, 0.4, True, 0.5]),
             ("box", ["0.4", 0.4, 0.5, 0.5]),
+            ("emb", ["1.5", 0.5]),
+            ("emb", ["1.5", True, 0]),
+            ("emb", [True, 0.5]),
+            ("emb", [0.5, False]),
+            ("emb", [True, False]),
         ],
     )
     def test_numbers_are_not_coerced(self, field, value):
-        bad = frame_obj(1, 50, [det_obj()])
-        if field in ("conf", "box"):
-            bad["detections"][0][field] = value
+        bad = frame_obj(1, 50, [det_obj(cls="chair", emb=None), det_obj()])
+        if field in ("conf", "box", "emb"):
+            bad["detections"][1][field] = value
         else:
             bad[field] = value
         with pytest.raises(StreamParseError) as err:
@@ -265,8 +350,17 @@ class TestParseStream:
             frame_obj(dets=[det_obj(conf=2.0)]),
             frame_obj(dets=[det_obj(box=(0.5, 0.5, 0.4, 0.6))]),
             frame_obj(dets=[det_obj(emb=None)]),  # head without embedding
+            frame_obj(dets=[det_obj(), det_obj(emb=(1.0, None))]),
+            frame_obj(dets=[det_obj(), det_obj(emb=(1.0, [0.0]))]),
+            frame_obj(dets=[det_obj(), {**det_obj(), "emb": [[1.0, 0.0]]}]),
+            frame_obj(dets=[det_obj(), {**det_obj(), "emb": 1.0}]),
+            frame_obj(dets=[det_obj(), {**det_obj(), "emb": "1.0, 0.0"}]),
+            frame_obj(dets=[det_obj(), {**det_obj(cls="bag"), "emb": {"0": 1.0}}]),
+            frame_obj(dets=[det_obj(), det_obj(emb=(10**400, 1.0))]),  # beyond float range
+            frame_obj(dets=[det_obj(conf=10**400)]),
             frame_obj(lighting="dusk"),
             {"frame_id": 0, "ts_ms": 0, "detections": {"not": "a list"}},
+            frame_obj(dets=[det_obj(cls=["head"])]),  # an unhashable class
         ],
     )
     def test_invalid_records(self, obj):
@@ -279,23 +373,23 @@ class TestParseStream:
         assert len(list(parse_stream(src))) == 1
 
 
+# zero-norm embeddings are invalid input, rejected by validate_embedding
+embedding_strategy = st.lists(
+    st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=2, max_size=2
+).map(np.asarray).filter(lambda v: v @ v > 0.0)
+
+row_strategy = st.tuples(
+    st.sampled_from(list(DetectionClass)),
+    st.floats(0, 1, allow_nan=False),
+    st.tuples(st.floats(0, 0.49), st.floats(0, 0.49), st.floats(0.5, 1), st.floats(0.5, 1)),
+    st.one_of(st.none(), embedding_strategy),
+).filter(lambda row: row[3] is not None or row[0] is not DetectionClass.HEAD)
+
 frames_strategy = st.builds(
     FrameRecord,
     frame_id=st.just(0),
     timestamp_ms=st.integers(0, 10_000),
-    detections=st.lists(
-        st.builds(
-            DetectionRecord,
-            class_label=st.sampled_from(list(DetectionClass)),
-            confidence=st.floats(0, 1, allow_nan=False),
-            box=st.just(BoundingBox(0.4, 0.4, 0.5, 0.5)),
-            # zero-norm embeddings are invalid input, rejected by validate_embedding
-            embedding=st.lists(
-                st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=2, max_size=2
-            ).map(np.asarray).filter(lambda v: v @ v > 0.0),
-        ),
-        max_size=4,
-    ),
+    detections=st.lists(row_strategy, max_size=4).map(Detections.from_rows),
     lighting=st.sampled_from([None, LightingMode.DAY, LightingMode.NIGHT]),
 )
 
@@ -310,17 +404,18 @@ class TestRoundTrip:
         assert parsed.frame_id == frame.frame_id
         assert parsed.timestamp_ms == frame.timestamp_ms
         assert parsed.lighting == frame.lighting
-        assert len(parsed.detections) == len(frame.detections)
-        for a, b in zip(parsed.detections, frame.detections):
-            assert a.class_label is b.class_label
-            assert a.confidence == b.confidence
-            assert a.box == b.box
-            assert np.array_equal(a.embedding, b.embedding)
+        a, b = parsed.detections, frame.detections
+        assert len(a) == len(b)
+        assert a.labels == b.labels
+        assert a.confidences.tobytes() == b.confidences.tobytes()
+        assert a.boxes.tobytes() == b.boxes.tobytes()
+        assert a.has_embedding.tolist() == b.has_embedding.tolist()
+        assert np.array_equal(a.embeddings, b.embeddings)
 
     def test_write_stream_round_trip(self):
         frames = [
-            FrameRecord(0, 0, [head()], LightingMode.NIGHT),
-            FrameRecord(3, 150, [head(), chair()]),
+            FrameRecord(0, 0, Detections.from_rows([head()]), LightingMode.NIGHT),
+            FrameRecord(3, 150, Detections.from_rows([chair(), head(), chair(emb=(0.5, 0.5))])),
         ]
         buf = io.StringIO()
         assert write_stream(frames, buf) == 2

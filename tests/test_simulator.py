@@ -111,13 +111,9 @@ class TestGenerate:
 
     def test_distraction_field_emits_distractions(self):
         frames, _ = generate(make_scenario("distraction_field", DIM))
-        classes = {d.class_label for d in frames[0].detections}
-        assert {DetectionClass.CHAIR, DetectionClass.TROLLEY, DetectionClass.BAG} <= classes
-        assert all(
-            d.embedding is None
-            for d in frames[0].detections
-            if d.class_label is not DetectionClass.HEAD
-        )
+        dets = frames[0].detections
+        assert {DetectionClass.CHAIR, DetectionClass.TROLLEY, DetectionClass.BAG} <= set(dets.labels)
+        assert dets.has_embedding.tolist() == [label is DetectionClass.HEAD for label in dets.labels]
 
     def test_ground_truth_ignores_noise(self):
         noisy = make_scenario("clean_entry", DIM)
@@ -129,8 +125,8 @@ class TestGenerate:
         spec = make_scenario("dropout_3", DIM)
         frames, _ = generate(spec)
         gap = sorted(spec.actors[0].missed_frames)
-        assert all(frames[f].detections == [] for f in gap)
-        assert frames[gap[0] - 1].detections != []
+        assert all(len(frames[f].detections) == 0 for f in gap)
+        assert len(frames[gap[0] - 1].detections) > 0
 
 
 class TestEndToEnd:

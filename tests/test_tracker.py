@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from headcount.ingest import BoundingBox, DetectionClass, DetectionRecord
+from headcount.ingest import DetectionClass, Detections
 from headcount.tracker import (
     DistanceMatrices,
     TrackedObject,
@@ -20,21 +20,28 @@ from oracles import feature_distance, greedy_gated_assignment, spatial_distance
 
 def detection(x=0.5, y=0.5, emb=(1.0, 0.0), conf=0.95, size=0.08):
     half = size / 2
-    box = BoundingBox(x - half, y - half, x + half, y + half)
-    return DetectionRecord(DetectionClass.HEAD, conf, box, np.asarray(emb, dtype=float))
+    box = (x - half, y - half, x + half, y + half)
+    return (DetectionClass.HEAD, conf, box, np.asarray(emb, dtype=float))
+
+
+def center_of(det):
+    return tuple(Detections.from_rows([det]).centers[0].tolist())
+
+
+def step(tracker, dets, frame_id):
+    frame = Detections.from_rows(dets)
+    return tracker.step(frame.embeddings, frame.centers, frame_id)
 
 
 def track(tid=1, x=0.5, y=0.5, emb=(1.0, 0.0)):
     emb = np.asarray(emb, dtype=float)
-    return TrackedObject(id=tid, unit=emb / np.linalg.norm(emb), center=detection(x, y).box.center)
+    return TrackedObject(id=tid, unit=emb / np.linalg.norm(emb), center=center_of(detection(x, y)))
 
 
 def matrices_for(tracks, dets):
-    units = np.zeros((0, 0))
-    if dets:
-        emb = np.stack([d.embedding for d in dets])
-        units = emb / np.linalg.norm(emb, axis=1, keepdims=True)
-    return build_matrices(tracks, units, [d.box.center for d in dets])
+    frame = Detections.from_rows(dets)
+    units = frame.embeddings / np.linalg.norm(frame.embeddings, axis=1, keepdims=True)
+    return build_matrices(tracks, units, frame.centers)
 
 
 class TestFeatureDistance:
@@ -106,10 +113,10 @@ class TestBuildMatrices:
         for i, t in enumerate(tracks):
             for j, d in enumerate(dets):
                 assert mats.feature[i, j] == pytest.approx(
-                    feature_distance(t.unit, d.embedding), abs=1e-9
+                    feature_distance(t.unit, d[3]), abs=1e-9
                 )
                 assert mats.spatial[i, j] == pytest.approx(
-                    spatial_distance(t.center, d.box.center), abs=1e-12
+                    spatial_distance(t.center, center_of(d)), abs=1e-12
                 )
 
     def test_dimension_mismatch_propagates(self):
@@ -121,6 +128,14 @@ def mats(feature, spatial=None):
     f = np.asarray(feature, dtype=float)
     s = np.zeros_like(f) if spatial is None else np.asarray(spatial, dtype=float)
     return DistanceMatrices(f, s)
+
+
+class TestDistanceMatrices:
+    @pytest.mark.parametrize("spatial_shape", [(1, 3), (2, 1), (3, 2)])
+    def test_shapes_must_agree(self, spatial_shape):
+        """A spatial matrix that would broadcast against (2, 3) features is still refused."""
+        with pytest.raises(ValueError, match="shapes differ"):
+            DistanceMatrices(np.zeros((2, 3)), np.zeros(spatial_shape))
 
 
 def config(t=0.5, d=0.1, e=5):
@@ -259,59 +274,59 @@ class TestAssociate:
 class TestTrackerStep:
     def test_cold_start_registers_all(self):
         tracker = Tracker(config())
-        report = tracker.step([detection(x=0.3), detection(x=0.7, emb=(0.0, 1.0))], 0)
+        report = step(tracker, [detection(x=0.3), detection(x=0.7, emb=(0.0, 1.0))], 0)
         assert report.created_ids == [1, 2]
         assert report.evicted_ids == []
         assert len(tracker.objects) == 2
 
     def test_eviction_after_miss_limit_exceeded(self):
         tracker = Tracker(config(e=3))
-        tracker.step([detection()], 0)
-        reports = [tracker.step([], f) for f in range(1, 5)]
+        step(tracker, [detection()], 0)
+        reports = [step(tracker, [], f) for f in range(1, 5)]
         assert [r.evicted_ids for r in reports[:3]] == [[], [], []]
         assert reports[3].evicted_ids == [1]
         assert tracker.objects == []
 
     def test_miss_limit_zero_evicts_immediately(self):
         tracker = Tracker(config(e=0))
-        tracker.step([detection()], 0)
-        report = tracker.step([], 1)
+        step(tracker, [detection()], 0)
+        report = step(tracker, [], 1)
         assert report.evicted_ids == [1]
 
     def test_perfect_redetection_keeps_id_resets_misses(self):
         tracker = Tracker(config())
-        tracker.step([detection()], 0)
-        tracker.step([], 1)
+        step(tracker, [detection()], 0)
+        step(tracker, [], 1)
         assert tracker.objects[0].e_count == 1
-        report = tracker.step([detection()], 2)
+        report = step(tracker, [detection()], 2)
         assert report.matched_ids == [1]
         assert report.created_ids == []
         assert tracker.objects[0].e_count == 0
 
     def test_match_adopts_detection_state(self):
         tracker = Tracker(config(d=0.5))
-        tracker.step([detection(x=0.4, y=0.4, emb=(1.0, 0.1))], 0)
+        step(tracker, [detection(x=0.4, y=0.4, emb=(1.0, 0.1))], 0)
         new = detection(x=0.45, y=0.5, emb=(1.0, 0.2))
-        tracker.step([new], 1)
+        step(tracker, [new], 1)
         obj = tracker.objects[0]
-        assert obj.center == new.box.center
+        assert obj.center == center_of(new)
         emb = np.asarray([1.0, 0.2])
         assert obj.unit.tobytes() == (emb / np.linalg.norm(emb)).tobytes()
 
     def test_birth_adopts_unit_row(self):
         tracker = Tracker(config())
         embs = [np.asarray([3.0, -4.0, 0.5]), np.asarray([0.1, 0.2, 7.0])]
-        tracker.step([detection(x=0.3, emb=embs[0]), detection(x=0.7, emb=embs[1])], 0)
+        step(tracker, [detection(x=0.3, emb=embs[0]), detection(x=0.7, emb=embs[1])], 0)
         for obj, emb in zip(tracker.objects, embs):
             assert obj.unit.tobytes() == (emb / np.linalg.norm(emb)).tobytes()
 
     def test_id_permanence_and_growth(self):
         tracker = Tracker(config(e=1))
-        tracker.step([detection()], 0)
-        tracker.step([], 1)
-        tracker.step([], 2)  # evicted here
+        step(tracker, [detection()], 0)
+        step(tracker, [], 1)
+        step(tracker, [], 2)  # evicted here
         assert tracker.objects == []
-        report = tracker.step([detection()], 3)
+        report = step(tracker, [detection()], 3)
         assert report.created_ids == [2]
 
     def test_frame_gap_ages_tracks_before_association(self):
@@ -319,10 +334,10 @@ class TestTrackerStep:
         # limit, so frame 300 starts a new identity, as empty frames would.
         tracker = Tracker(config(e=5))
         for frame in (0, 1, 2):
-            tracker.step([detection()], frame)
-        report = tracker.step([detection()], 300)
+            step(tracker, [detection()], frame)
+        report = step(tracker, [detection()], 300)
         assert (report.evicted_ids, report.matched_ids, report.created_ids) == ([1], [], [2])
-        tracker.step([], 304)  # three skipped ids plus this empty frame
+        step(tracker, [], 304)  # three skipped ids plus this empty frame
         assert tracker.objects[0].e_count == 4
 
     def test_no_track_exceeds_miss_limit_after_step(self):
@@ -337,12 +352,12 @@ class TestTrackerStep:
                 )
                 for _ in range(int(rng.integers(0, 4)))
             ]
-            tracker.step(dets, frame)
+            step(tracker, dets, frame)
             assert all(t.e_count <= 2 for t in tracker.objects)
 
     def test_far_detection_spawns_new_track(self):
         tracker = Tracker(config(t=0.5, d=0.1))
-        tracker.step([detection(x=0.2, y=0.2)], 0)
-        report = tracker.step([detection(x=0.8, y=0.8)], 1)  # same look, too far
+        step(tracker, [detection(x=0.2, y=0.2)], 0)
+        report = step(tracker, [detection(x=0.8, y=0.8)], 1)  # same look, too far
         assert report.created_ids == [2]
         assert report.matched_ids == []
