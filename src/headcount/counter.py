@@ -10,12 +10,39 @@ scheme immune to the oscillating double counts that plague one-line systems.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .tracker import TrackedObject
+
+
+# The number rule, held by every constructor: a number is a real number that is
+# not a bool, so a JSON true/false or string never reads as one; a count is an
+# integer that is not a bool. Plain int and float skip the slower ABC check.
+def _is_number_type(kind: type) -> bool:
+    return kind is float or kind is int or (issubclass(kind, numbers.Real) and kind is not bool)
+
+
+def is_number_row(row) -> bool:
+    """A list or tuple whose values are all numbers, checked by their types
+    whatever the values are, or a 1-D int or float ndarray."""
+    if isinstance(row, np.ndarray):
+        return row.ndim == 1 and row.dtype.kind in "iuf"
+    return isinstance(row, (list, tuple)) and all(map(_is_number_type, set(map(type, row))))
+
+
+def check_numbers(obj, names: tuple = (), counts: tuple = ()) -> None:
+    """Raise ValueError, led by the field's name, for the first of `obj`'s
+    number fields `names` or count fields `counts` that breaks the rule."""
+    for name in names + counts:
+        value, count = getattr(obj, name), name in counts
+        if not _is_number_type(type(value)) or (count and not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
 
 
 class Region(Enum):
@@ -34,8 +61,8 @@ class RegionLayout:
     """Two horizontal lines (normalized y) partitioning the frame.
 
     `line_ab` and `line_bc` always satisfy 0 < line_ab < line_bc < 1; the
-    orientation decides which side is outside. For OUTSIDE_TOP, A lies above
-    both lines and C below; OUTSIDE_BOTTOM mirrors that vertically.
+    orientation (or its wire name) decides which side is outside. For
+    OUTSIDE_TOP, A lies above both lines and C below; OUTSIDE_BOTTOM mirrors it.
     """
 
     line_ab: float = 0.4
@@ -43,6 +70,8 @@ class RegionLayout:
     orientation: Orientation = Orientation.OUTSIDE_TOP
 
     def __post_init__(self):
+        check_numbers(self, ("line_ab", "line_bc"))
+        object.__setattr__(self, "orientation", Orientation(self.orientation))
         if not 0.0 < self.line_ab < self.line_bc < 1.0:
             raise ValueError(
                 f"region lines must satisfy 0 < line_ab < line_bc < 1, "

@@ -19,8 +19,8 @@ from .counter import (
     DEFAULT_LAYOUT,
     CountLedger,
     CrossingEvent,
-    Orientation,
     RegionLayout,
+    check_numbers,
     classify_region,
     tally,
     update_history,
@@ -37,23 +37,9 @@ class ConfigError(ValueError):
     """Invalid engine configuration (bad field, value, or file)."""
 
 
-# The stream's number rule: a JSON true/false or string is not a number, and
-# a count is an integer. Field names are unique across the config's sections.
-_REAL = (int, float)
-_FIELD_TYPES = {"feature_threshold": _REAL, "spatial_threshold": _REAL, "miss_limit": (int,),
-                "line_ab": _REAL, "line_bc": _REAL, "min_confidence": _REAL,
-                "embedding_dim": (int, type(None))}
-
-
-def _typed(data, section: str = "") -> dict:
+def _object(data, name: str):
     if not isinstance(data, dict):
-        raise ConfigError(f"{section or 'config'} must be a JSON object")
-    prefix = f"{section}." if section else ""
-    for name, value in data.items():
-        types = _FIELD_TYPES.get(name, (type(value),))
-        if type(value) not in types:
-            expected = " or ".join("null" if t is type(None) else t.__name__ for t in types)
-            raise ConfigError(f"{prefix}{name} must be {expected}, got {value!r}")
+        raise ConfigError(f"{name} must be a JSON object")
     return data
 
 
@@ -71,6 +57,7 @@ class EngineConfig:
     embedding_dim: Optional[int] = None
 
     def __post_init__(self):
+        check_numbers(self, ("min_confidence",), () if self.embedding_dim is None else ("embedding_dim",))
         if not 0.0 <= self.min_confidence <= 1.0:
             raise ConfigError("min_confidence must be in [0, 1]")
         if self.embedding_dim is not None and self.embedding_dim < 1:
@@ -78,16 +65,13 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
-        values = dict(_typed(data))
+        values = dict(_object(data, "config"))
         unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         try:
             for name, settings in (("tracker", TrackerConfig), ("layout", RegionLayout)):
-                section = _typed(values.get(name, {}), name)
-                if "orientation" in section:
-                    section = {**section, "orientation": Orientation(section["orientation"])}
-                values[name] = settings(**section)
+                values[name] = settings(**_object(values.get(name, {}), name))
             return cls(**values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
@@ -304,21 +288,17 @@ def calibrate(
     if not scenarios or not seeds:
         raise ValueError("calibrate needs at least one scenario and one seed")
     cfg = config or EngineConfig()
-    if not isinstance(grid, dict):
-        raise ConfigError("grid must be a JSON object")
-    for name, values in grid.items():
+    for name, values in _object(grid, "grid").items():
         if name not in _GRID_AXES:
             raise ConfigError(f"unknown calibration axis: {name!r}")
         if type(values) is not list or not values:
             raise ConfigError(f"grid.{name} must be a non-empty JSON array, got {values!r}")
-        for value in values:
-            _typed({name: value}, "grid")
     axes = [grid.get(name, [getattr(cfg.tracker, name)]) for name in _GRID_AXES]
     points = list(itertools.product(*axes))
     try:
         trackers = [replace(cfg.tracker, **dict(zip(_GRID_AXES, point))) for point in points]
     except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from None
+        raise ConfigError(f"grid.{exc}") from None
     prepared = [
         generate(replace(spec, seed=seed), cfg.layout) for spec in scenarios for seed in seeds
     ]

@@ -20,13 +20,15 @@ yields. Embeddings default to DEFAULT_EMBEDDING_DIM components.
 from __future__ import annotations
 
 import json
-import numbers
 import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
+
+from .counter import is_number_row
 
 DEFAULT_EMBEDDING_DIM = 1024
 
@@ -82,26 +84,10 @@ def validate_embedding(block: np.ndarray) -> None:
         raise ValueError("embedding has zero norm: cosine distance is undefined for a zero vector")
 
 
-# The stream's number rule: a JSON true/false or string is not a number.
-_NUMBERS = frozenset((int, float))
-
-
-def _is_number_row(row) -> bool:
-    """Whether an `emb` row is a flat array of numbers, none of them a bool. A
-    bool would stack as 1 or 0 among numbers, so a list is checked by the type
-    of every value, whatever the values are; an ndarray by its dtype."""
-    if isinstance(row, np.ndarray):
-        return row.ndim == 1 and row.dtype.kind in "iuf"
-    if not isinstance(row, (list, tuple)):
-        return False
-    kinds = set(map(type, row))
-    return kinds <= _NUMBERS or all(issubclass(kind, numbers.Real) and kind is not bool for kind in kinds)
-
-
 def _embedding_block(rows: list) -> np.ndarray:
     """Stack embedding rows into one (n, d) float block; all rows share one length."""
     for row in rows:
-        if not _is_number_row(row):
+        if not is_number_row(row):
             raise ValueError(f"emb must be a flat array of numbers, got {reprlib.repr(row)}")
     try:
         return np.array(rows, dtype=float)
@@ -143,10 +129,18 @@ class Detections:
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple] = ()) -> "Detections":
-        """Build from (class, conf, box, emb or None) rows; a class may be its wire name."""
+        """Build from (class, conf, box, emb or None) rows; a class may be its wire name.
+        A conf, a box's 4 values and an emb row's values must follow the number rule."""
         rows = list(rows)
         n = len(rows)
         classes, confs, boxes, embs = zip(*rows) if rows else ((), (), (), ())
+        try:  # one pass over the frame's columns, not one per detection
+            valid = set(map(len, boxes)) <= {4} and is_number_row((*confs, *chain.from_iterable(boxes)))
+        except TypeError:  # a box without a length
+            valid = False
+        if not valid:
+            raise ValueError(f"each conf must be a number and each box 4 numbers, got conf "
+                             f"{reprlib.repr(confs)} and box {reprlib.repr(boxes)}")
         has_embedding = np.array([emb is not None for emb in embs], dtype=bool)
         embedded = [emb for emb in embs if emb is not None]
         block = _embedding_block(embedded) if embedded else np.zeros((0, 0))
@@ -233,12 +227,6 @@ def filter_heads(frame: FrameRecord, min_confidence: float = 0.5) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
-def _require(obj: dict, key: str, line_number: int):
-    if key not in obj:
-        raise StreamParseError(f"missing field '{key}'", line_number)
-    return obj[key]
-
-
 def _frame_from_obj(obj, line_number: int) -> FrameRecord:
     if not isinstance(obj, dict):
         raise StreamParseError("frame record must be a JSON object", line_number)
@@ -253,24 +241,17 @@ def _frame_from_obj(obj, line_number: int) -> FrameRecord:
     raw_dets = obj.get("detections", [])
     if not isinstance(raw_dets, list):
         raise StreamParseError("detections must be an array", line_number)
-    frame_id = _require(obj, "frame_id", line_number)
-    ts_ms = _require(obj, "ts_ms", line_number)
+    try:
+        frame_id, ts_ms = obj["frame_id"], obj["ts_ms"]
+        rows = [(det["class"], det["conf"], det["box"], det.get("emb")) for det in raw_dets]
+    except KeyError as exc:
+        raise StreamParseError(f"missing field {exc}", line_number) from None
+    except TypeError:  # indexing a detection that is not an object
+        raise StreamParseError("detection entries must be objects", line_number) from None
     if type(frame_id) is not int or type(ts_ms) is not int:
         raise StreamParseError(
             f"frame_id and ts_ms must be JSON integers, got {frame_id!r} and {ts_ms!r}", line_number
         )
-    rows = []
-    for det in raw_dets:
-        if not isinstance(det, dict):
-            raise StreamParseError("detection entries must be objects", line_number)
-        raw_class, raw_conf, raw_box = (_require(det, key, line_number) for key in ("class", "conf", "box"))
-        if not (isinstance(raw_box, list) and len(raw_box) == 4):
-            raise StreamParseError("box must be [x_min, y_min, x_max, y_max]", line_number)
-        # type(), not isinstance(): a JSON true is a bool, an int subclass, and must not read as 1
-        if any(type(v) not in _NUMBERS for v in (raw_conf, *raw_box)):
-            message = f"conf and box values must be JSON numbers, got {raw_conf!r} and {raw_box!r}"
-            raise StreamParseError(message, line_number)
-        rows.append((raw_class, raw_conf, raw_box, det.get("emb")))
     try:
         detections = Detections.from_rows(rows)
     except EmbeddingDimensionError as exc:

@@ -21,10 +21,9 @@ from .counter import (
     AccuracyReport,
     CountLedger,
     EventKind,
-    Region,
+    Orientation,
     RegionLayout,
     accuracy,
-    classify_region,
 )
 from .ingest import DEFAULT_EMBEDDING_DIM, DetectionClass, Detections, FrameRecord
 
@@ -149,20 +148,23 @@ def _track(actor: ActorSpec, duration: int) -> dict[int, tuple[float, float]]:
 
 
 def _ground_truth(spec: ScenarioSpec, tracks: list[dict], layout: RegionLayout) -> GroundTruth:
-    """Anchor scan of each noiseless path, sharing no code with the counter:
-    B never moves the anchor, and A -> C (entry) or C -> A (exit) re-anchors."""
+    """Anchor scan of each noiseless path, sharing no code with the counter: a
+    head centre on or between the lines (B) never moves the anchor, and the
+    outside -> inside (entry) or inside -> outside (exit) sides re-anchor."""
     events: list[tuple[EventKind, int, int]] = []
+    top = layout.orientation is Orientation.OUTSIDE_TOP
     for actor, track in zip(spec.actors, tracks):
         anchor = None
         for frame, pos in track.items():
             _, y_min, _, y_max = _head_box(*pos)
-            region = classify_region((y_min + y_max) / 2.0, layout)
-            if region is Region.B or region is anchor:
+            y = (y_min + y_max) / 2.0
+            if layout.line_ab <= y <= layout.line_bc:
                 continue
-            if anchor is not None:
-                kind = EventKind.ENTRY if region is Region.C else EventKind.EXIT
+            outside = (y < layout.line_ab) == top
+            if anchor is not None and outside != anchor:
+                kind = EventKind.EXIT if outside else EventKind.ENTRY
                 events.append((kind, actor.actor_id, frame))
-            anchor = region
+            anchor = outside
     events.sort(key=lambda e: (e[2], e[1]))
     ins = sum(1 for e in events if e[0] is EventKind.ENTRY)
     outs = len(events) - ins

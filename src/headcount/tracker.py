@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counter import Region
+from .counter import Region, check_numbers
 
 
 @dataclass(frozen=True)
@@ -29,9 +29,11 @@ class TrackerConfig:
     miss_limit: int = 5
 
     def __post_init__(self):
-        if self.feature_threshold <= 0:
+        # Every message leads with the field's name: calibrate reports it as grid.<field>.
+        check_numbers(self, ("feature_threshold", "spatial_threshold"), ("miss_limit",))
+        if not self.feature_threshold > 0:  # `not >`: a NaN fails too
             raise ValueError("feature_threshold must be > 0")
-        if self.spatial_threshold <= 0:
+        if not self.spatial_threshold > 0:
             raise ValueError("spatial_threshold must be > 0")
         if self.miss_limit < 0:
             raise ValueError("miss_limit must be >= 0")

@@ -49,10 +49,21 @@ class TestRegionLayout:
         layout = RegionLayout()
         assert (layout.line_ab, layout.line_bc) == (0.4, 0.6)
 
-    @pytest.mark.parametrize("ab,bc", [(0.6, 0.4), (0.4, 0.4), (0.0, 0.6), (0.4, 1.0)])
+    @pytest.mark.parametrize(
+        "ab,bc", [(0.6, 0.4), (0.4, 0.4), (0.0, 0.6), (0.4, 1.0), ("0.4", 0.6), (0.4, True), (float("nan"), 0.6)]
+    )
     def test_rejects_bad_lines(self, ab, bc):
         with pytest.raises(ValueError):
             RegionLayout(ab, bc)
+
+    def test_orientation_takes_its_wire_name(self):
+        # A wire name must not fall through to the other orientation's branch.
+        layout = RegionLayout(0.4, 0.6, "outside_top")
+        assert layout == RegionLayout(0.4, 0.6, Orientation.OUTSIDE_TOP)
+        assert classify_region(0.1, layout) is Region.A
+        assert RegionLayout(orientation="outside_bottom").orientation is Orientation.OUTSIDE_BOTTOM
+        with pytest.raises(ValueError, match="sideways"):
+            RegionLayout(0.4, 0.6, "sideways")
 
 
 class TestClassifyRegion:

@@ -36,11 +36,22 @@ def stream_for(name, dim=DIM, lighting=None):
     return buf, truth
 
 
+def settable_fields():
+    """(section, its class, field) for every settable config field; the
+    section is "" for EngineConfig's own fields."""
+    for f in fields(EngineConfig):
+        if is_dataclass(f.default):
+            yield from ((f.name, type(f.default), g) for g in fields(f.default))
+        else:
+            yield "", EngineConfig, f
+
+
 class TestRun:
     def test_clean_entry_counts_one_in(self):
-        source, _ = stream_for("clean_entry")
-        result = run(source)
-        assert result.ledger.snapshot() == {"ins": 1, "outs": 0, "occupancy": 1}
+        text = stream_for("clean_entry")[0].getvalue()
+        for layout in (RegionLayout(), RegionLayout(0.4, 0.6, "outside_top")):
+            result = run(io.StringIO(text), EngineConfig(layout=layout))
+            assert result.ledger.snapshot() == {"ins": 1, "outs": 0, "occupancy": 1}
 
     def test_oscillation_counts_nothing(self):
         source, _ = stream_for("oscillation")
@@ -136,6 +147,10 @@ class TestEngineConfig:
             [],
             {"tracker": [["miss_limit", 3]]},
             {"layout": [["line_ab", 0.3]]},
+            # a NaN (a JSON NaN literal) fails every range check
+            {"tracker": {"feature_threshold": float("nan")}},
+            {"tracker": {"spatial_threshold": float("nan")}},
+            {"layout": {"orientation": "sideways"}},
         ],
     )
     def test_invalid_configs(self, data):
@@ -147,18 +162,28 @@ class TestEngineConfig:
             with pytest.raises(ConfigError, match=f"^{name} must be a JSON object"):
                 EngineConfig.from_dict({name: []})
 
+    @pytest.mark.parametrize(
+        "section, settings, field",
+        list(settable_fields()),
+        ids=[f"{s}.{f.name}".lstrip(".") for s, _, f in settable_fields()],
+    )
+    def test_every_field_follows_the_number_rule(self, section, settings, field):
+        # Found with dataclasses.fields, so a field added later inherits the
+        # rule: its constructor and the loader both refuse what is not a number.
+        for value in (True, "0.5") + ((2.5,) if "int" in field.type else ()):
+            with pytest.raises(ValueError, match=f"(?i){field.name}"):
+                settings(**{field.name: value})
+            data = {section: {field.name: value}} if section else {field.name: value}
+            with pytest.raises(ConfigError, match=f"(?i){field.name}"):
+                EngineConfig.from_dict(data)
+
     def test_readme_table_lists_every_field(self):
         # The README's configuration table must name exactly the settable
         # fields, and its defaults must load as the defaults.
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         text = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
         rows = re.findall(r"^\| `([\w.]+)` \| `([^`]*)` \|", text, flags=re.M)
-        expected = set()
-        for f in fields(EngineConfig):
-            if is_dataclass(f.default):
-                expected |= {f"{f.name}.{g.name}" for g in fields(f.default)}
-            else:
-                expected.add(f.name)
+        expected = {f"{s}.{f.name}".lstrip(".") for s, _, f in settable_fields()}
         assert {name for name, _ in rows} == expected
         data: dict = {}
         for name, default in rows:

@@ -45,7 +45,12 @@ class TestBoundingBox:
 
     @pytest.mark.parametrize(
         "coords",
-        [(0.5, 0.1, 0.4, 0.2), (0.1, 0.5, 0.2, 0.4), (-0.1, 0.1, 0.2, 0.2), (0.1, 0.1, 1.2, 0.2)],
+        [
+            (0.5, 0.1, 0.4, 0.2), (0.1, 0.5, 0.2, 0.4), (-0.1, 0.1, 0.2, 0.2), (0.1, 0.1, 1.2, 0.2),
+            # the number rule: 4 numbers, none a bool or a string
+            ("0.1", 0.1, 0.2, 0.2), (0.1, 0.1, True, 0.2), (0.1, 0.1, 0.2), ((0.1, 0.1), (0.2, 0.2)),
+            np.array([0.1, 0.1, 0.2, 0.2]) > 0.15, 0.1,
+        ],
     )
     def test_rejects_bad_geometry(self, coords):
         with pytest.raises(ValueError):
@@ -70,6 +75,9 @@ class TestDetectionRecord:
             Detections.from_rows([head(), head(conf=1.2)])
         with pytest.raises(ValueError):
             Detections.from_rows([chair(conf=float("nan"))])
+        for conf in (True, np.bool_(True), "0.5", None):  # not numbers
+            with pytest.raises(ValueError, match="conf must be a number"):
+                Detections.from_rows([head(), chair(conf=conf)])
 
     def test_embedding_must_be_finite(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 
-from headcount.counter import CountLedger, EventKind
-from headcount.engine import run_frames
+from headcount import counter, engine, simulator
+from headcount.counter import CountLedger, EventKind, Orientation, RegionLayout
+from headcount.engine import EngineConfig, run_frames
 from headcount.ingest import DetectionClass, write_stream
 from headcount.simulator import (
     ActorIntent,
@@ -94,9 +95,12 @@ class TestGenerate:
         assert render(generate(spec)[0]) == render(generate(spec)[0])
 
     def test_clean_entry_truth(self):
-        _, truth = generate(make_scenario("clean_entry", DIM))
-        assert truth.final_ins == 1 and truth.final_outs == 0
-        assert [kind for kind, _, _ in truth.events] == [EventKind.ENTRY]
+        for layout in (RegionLayout(), RegionLayout(0.4, 0.6, "outside_top")):
+            _, truth = generate(make_scenario("clean_entry", DIM), layout)
+            assert truth.final_ins == 1 and truth.final_outs == 0
+            assert [kind for kind, _, _ in truth.events] == [EventKind.ENTRY]
+        _, truth = generate(make_scenario("clean_entry", DIM), RegionLayout(orientation=Orientation.OUTSIDE_BOTTOM))
+        assert [kind for kind, _, _ in truth.events] == [EventKind.EXIT]
 
     def test_oscillation_truth_empty(self):
         frames, truth = generate(make_scenario("oscillation", DIM))
@@ -114,6 +118,32 @@ class TestGenerate:
         dets = frames[0].detections
         assert {DetectionClass.CHAIR, DetectionClass.TROLLEY, DetectionClass.BAG} <= set(dets.labels)
         assert dets.has_embedding.tolist() == [label is DetectionClass.HEAD for label in dets.labels]
+
+    def test_ground_truth_shares_no_code_with_the_counter(self, monkeypatch):
+        specs = [make_scenario(name, DIM) for name in ("clean_entry", "clean_exit", "oscillation", "multi_3")]
+        specs += [random_crossings(seed, actors=5, embedding_dim=DIM) for seed in range(3)]
+        layouts = [RegionLayout(), RegionLayout(0.3, 0.7, "outside_bottom")]
+        expected = [generate(spec, layout)[1] for spec in specs for layout in layouts]
+        assert any(truth.final_ins and truth.final_outs for truth in expected)
+
+        def counter_called(*args, **kwargs):
+            raise AssertionError("ground truth reached the counter")
+
+        for module in (counter, engine, simulator):
+            for name in ("classify_region", "update_history"):
+                monkeypatch.setattr(module, name, counter_called, raising=False)
+        assert [generate(spec, layout)[1] for spec in specs for layout in layouts] == expected
+
+    def test_line_ties_belong_to_b(self):
+        # An actor inside touches line_ab exactly and turns back: B owns the
+        # tie, so neither the ground truth nor the counter sees an exit.
+        actor = ActorSpec(1, [(0, 0.5, 0.9), (20, 0.5, 0.6), (40, 0.5, 0.9)], np.ones(DIM))
+        spec = ScenarioSpec("touch", seed=1, duration_frames=41, actors=[actor])
+        line = float(generate(spec)[0][20].detections.centers[0, 1])
+        layout = RegionLayout(line, 0.8)
+        frames, truth = generate(spec, layout)
+        assert truth.events == ()
+        assert run_frames(frames, EngineConfig(layout=layout)).events == []
 
     def test_ground_truth_ignores_noise(self):
         noisy = make_scenario("clean_entry", DIM)
