@@ -1,9 +1,10 @@
 """Three-region counting: why the buffer zone kills oscillation double counts.
 
 Two horizontal lines split the view into outside (A), a critical buffer (B),
-and inside (C). Only a completed A-to-C traversal counts as an entry (C-to-A
-as an exit), so a person hovering on one line can bounce forever without
-touching the tallies.
+and inside (C). Each track keeps one anchor: the last of A or C it was seen
+in. Reaching C while anchored in A counts as an entry (reaching A while
+anchored in C as an exit) and moves the anchor; B never moves it, so a person
+hovering on one line can bounce forever without touching the tallies.
 """
 import numpy as np
 
@@ -23,7 +24,7 @@ def walk(name, ys):
         if event is not None:
             hc.tally(ledger, event)
             print(f"  frame {frame:2d}: {event.kind.value}")
-    print(f"{name}: ins={ledger.ins} outs={ledger.outs}\n")
+    print(f"{name}: ins={ledger.ins} outs={ledger.outs}, anchored in {track.anchor.value}\n")
 
 
 print("\nclean entry (A -> B -> C):")

@@ -1,7 +1,7 @@
 """Real-time doorway people counting over external head-detection streams.
 
 The package tracks detected heads across frames by greedy appearance-feature
-association with a spatial gate, converts per-track region histories into
+association with a spatial gate, turns each track's anchor region into
 entry/exit events via a three-region state machine, and ships a deterministic
 scenario simulator plus bench/calibration harnesses to verify accuracy and
 latency at desk scale. A frame's detections are one `Detections` block of numpy

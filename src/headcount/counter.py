@@ -1,9 +1,9 @@
 """Three-region doorway counting.
 
 The frame is split by two horizontal lines into an outside region (A), a
-critical buffer (B), and an inside region (C). Every track keeps a short,
-deduplicated history of regions it has visited; a traversal that anchors in A
-and later reaches C counts as an entry, the reverse as an exit. The buffer
+critical buffer (B), and an inside region (C). Every track keeps one anchor,
+the last of A or C it was seen in; a track anchored in A that reaches C counts
+as an entry, the reverse as an exit. The buffer never moves the anchor, so it
 absorbs people loitering near a single boundary, which is what makes the
 scheme immune to the oscillating double counts that plague one-line systems.
 """
@@ -24,7 +24,7 @@ if TYPE_CHECKING:
 # The number rule, held by every constructor: a number is a real number that is
 # not a bool, so a JSON true/false or string never reads as one; a count is an
 # integer that is not a bool. Plain int and float skip the slower ABC check.
-def _is_number_type(kind: type) -> bool:
+def is_number_type(kind: type) -> bool:
     return kind is float or kind is int or (issubclass(kind, numbers.Real) and kind is not bool)
 
 
@@ -33,7 +33,7 @@ def is_number_row(row) -> bool:
     whatever the values are, or a 1-D int or float ndarray."""
     if isinstance(row, np.ndarray):
         return row.ndim == 1 and row.dtype.kind in "iuf"
-    return isinstance(row, (list, tuple)) and all(map(_is_number_type, set(map(type, row))))
+    return isinstance(row, (list, tuple)) and all(map(is_number_type, set(map(type, row))))
 
 
 def check_numbers(obj, names: tuple = (), counts: tuple = ()) -> None:
@@ -41,7 +41,7 @@ def check_numbers(obj, names: tuple = (), counts: tuple = ()) -> None:
     number fields `names` or count fields `counts` that breaks the rule."""
     for name in names + counts:
         value, count = getattr(obj, name), name in counts
-        if not _is_number_type(type(value)) or (count and not isinstance(value, numbers.Integral)):
+        if not is_number_type(type(value)) or (count and not isinstance(value, numbers.Integral)):
             raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
 
 
@@ -114,41 +114,30 @@ class CrossingEvent:
     timestamp_ms: int
 
 
-# Histories are capped; since unresolved histories alternate between two
-# regions at most, the most recent anchor always survives the trim.
-HISTORY_LIMIT = 3
-
-
 def update_history(
     track: "TrackedObject",
     region: Region,
     frame_id: int = 0,
     timestamp_ms: int = 0,
 ) -> Optional[CrossingEvent]:
-    """Record the track's current region; emit an event when a traversal completes.
+    """Move the track's anchor to `region`; emit an event when it changes sides.
 
-    The region is appended only when it differs from the latest entry. An
-    appended C with an earlier A in the history (B in between or not) emits an
-    entry; an appended A with an earlier C emits an exit. After an event the
-    history resets to the terminal region, so loitering inside and leaving
-    later still yields exactly one exit. Tracks born in B or C never produce
-    an entry without first touching A, and symmetrically for exits.
+    B, or the side the track is already anchored on, changes nothing. The
+    first A or C seen sets the anchor and emits nothing. Reaching C anchored
+    in A emits an entry, reaching A anchored in C an exit, and either
+    re-anchors on the new side, so loitering inside and leaving later yields
+    exactly one exit. Tracks born in B or C never produce an entry without
+    first touching A, and symmetrically for exits.
     """
-    history = track.region_history
-    if history and history[-1] is region:
+    anchor = track.anchor
+    # The anchor test goes first: it needs no lookup on the Region class.
+    if region is anchor or region is Region.B:
         return None
-    history.append(region)
-    if region is Region.C and Region.A in history[:-1]:
-        del history[:]
-        history.append(Region.C)
-        return CrossingEvent(EventKind.ENTRY, track.id, frame_id, timestamp_ms)
-    if region is Region.A and Region.C in history[:-1]:
-        del history[:]
-        history.append(Region.A)
-        return CrossingEvent(EventKind.EXIT, track.id, frame_id, timestamp_ms)
-    while len(history) > HISTORY_LIMIT:
-        history.pop(0)
-    return None
+    track.anchor = region
+    if anchor is None:
+        return None
+    kind = EventKind.ENTRY if region is Region.C else EventKind.EXIT
+    return CrossingEvent(kind, track.id, frame_id, timestamp_ms)
 
 
 @dataclass

@@ -3,7 +3,7 @@
 One Engine owns one stream's state and processes frames strictly in order, so
 counting never observes a track from a different frame. Independent streams
 (one per doorway) each get their own engine. Per-frame latency covers only
-the engine's own compute (association plus counting), since detector
+the engine's own compute (filter, association, counting), since detector
 inference happens upstream.
 """
 from __future__ import annotations

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .counter import is_number_row
+from .counter import is_number_row, is_number_type
 
 DEFAULT_EMBEDDING_DIM = 1024
 
@@ -219,8 +219,8 @@ def filter_heads(frame: FrameRecord, min_confidence: float = 0.5) -> np.ndarray:
     Distraction classes (chair, trolley, bag) are dropped regardless of
     confidence; detections are never relabeled.
     """
-    if not 0.0 <= min_confidence <= 1.0:
-        raise ValueError(f"min_confidence must be in [0, 1], got {min_confidence}")
+    if not is_number_type(type(min_confidence)) or not 0.0 <= min_confidence <= 1.0:
+        raise ValueError(f"min_confidence must be a number in [0, 1], got {min_confidence!r}")
     dets = frame.detections
     rows = enumerate(zip(dets.labels, dets.confidences.tolist()))
     kept = [i for i, (label, conf) in rows if label is DetectionClass.HEAD and conf >= min_confidence]

@@ -24,6 +24,7 @@ from .counter import (
     Orientation,
     RegionLayout,
     accuracy,
+    check_numbers,
 )
 from .ingest import DEFAULT_EMBEDDING_DIM, DetectionClass, Detections, FrameRecord
 
@@ -48,11 +49,12 @@ class NoiseSpec:
     center_jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 <= self.miss_probability < 1.0:
+        check_numbers(self, ("miss_probability", "embedding_noise_sigma", "center_jitter_sigma"))
+        if not 0.0 <= self.miss_probability < 1.0:  # `not`: a NaN fails too
             raise ValueError("miss_probability must be in [0, 1)")
-        if self.embedding_noise_sigma < 0.0:
+        if not self.embedding_noise_sigma >= 0.0:
             raise ValueError("embedding_noise_sigma must be >= 0")
-        if self.center_jitter_sigma < 0.0:
+        if not self.center_jitter_sigma >= 0.0:
             raise ValueError("center_jitter_sigma must be >= 0")
 
 
@@ -99,10 +101,10 @@ class DistractionSpec:
     def __post_init__(self):
         if self.class_label is DetectionClass.HEAD:
             raise ValueError("distractions cannot use the head class")
-        if not (0.0 <= self.x <= 1.0 and 0.0 <= self.y <= 1.0):
-            raise ValueError("distraction position must lie in the frame")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must be in [0, 1]")
+        check_numbers(self, ("x", "y", "confidence"))
+        for name in ("x", "y", "confidence"):
+            if not 0.0 <= getattr(self, name) <= 1.0:  # `not`: a NaN fails too
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -116,9 +118,10 @@ class ScenarioSpec:
     noise: NoiseSpec = NoiseSpec()
 
     def __post_init__(self):
+        check_numbers(self, ("fps",), ("seed", "duration_frames"))
         if self.duration_frames <= 0:
             raise ValueError("duration_frames must be positive")
-        if self.fps <= 0:
+        if not self.fps > 0:  # `not >`: a NaN fails too
             raise ValueError("fps must be positive")
 
 

@@ -14,7 +14,7 @@ leave essentially the whole real-time budget to the upstream detector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ class TrackedObject:
     unit: np.ndarray
     center: tuple[float, float]
     e_count: int = 0  # consecutive detection misses
-    region_history: list[Region] = field(default_factory=list)
+    anchor: Optional[Region] = None  # last of A or C seen; the counter moves it
 
 
 @dataclass
@@ -168,11 +168,11 @@ class Tracker:
         detections; the embeddings are scaled to unit rows once, as one block.
         Matched tracks adopt the detection's unit row and center outright (no
         averaging) and reset their miss count. Unmatched detections become new
-        tracks with an empty region history, which the counter fills. Unmatched
-        tracks age by one miss, and anything whose miss count exceeds the limit
-        is removed before the step returns; ids are never reused. Each frame id
-        skipped since the previous step first ages every track by one miss, as
-        an empty frame would.
+        tracks with no anchor, which the counter sets. Unmatched tracks age by
+        one miss, and anything whose miss count exceeds the limit is removed
+        before the step returns; ids are never reused. Each frame id skipped
+        since the previous step first ages every track by one miss, as an
+        empty frame would.
         """
         evicted: list[int] = []
         if self.objects and frame_id > self._frame_id + 1:

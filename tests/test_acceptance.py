@@ -92,7 +92,7 @@ def test_criterion_03_counting_oracle_equivalence():
                 mismatches += 1
             total += 1
     ok = mismatches == 0 and total == 3 + 9 + 27 + 81 + 243 + 729
-    report(3, "region-history events match brute-force anchor scan on all strings <= 6", ok,
+    report(3, "anchor events match brute-force anchor scan on all strings <= 6", ok,
            f"{total} strings, {mismatches} mismatches")
     assert mismatches == 0
 

@@ -26,11 +26,11 @@ from oracles import anchor_pair_events
 
 
 class History:
-    """Bare track stand-in: update_history only needs id and region_history."""
+    """Bare track stand-in: update_history only needs id and anchor."""
 
-    def __init__(self, *regions, track_id=1):
+    def __init__(self, anchor=None, track_id=1):
         self.id = track_id
-        self.region_history = list(regions)
+        self.anchor = anchor
 
 
 def feed(labels, track=None):
@@ -90,12 +90,12 @@ class TestUpdateHistory:
         events, track = feed("ABC")
         assert [e.kind for e in events] == [EventKind.ENTRY]
         assert events[0].frame_id == 2
-        assert track.region_history == [Region.C]
+        assert track.anchor is Region.C
 
     def test_exit_via_buffer(self):
         events, track = feed("CBA")
         assert [e.kind for e in events] == [EventKind.EXIT]
-        assert track.region_history == [Region.A]
+        assert track.anchor is Region.A
 
     def test_direct_jump_counts_too(self):
         events, _ = feed("AC")
@@ -106,12 +106,15 @@ class TestUpdateHistory:
         assert events == []
 
     def test_born_in_buffer_no_anchor(self):
-        events, _ = feed("BC")
+        events, track = feed("BC")
         assert events == []
+        assert track.anchor is Region.C
 
     def test_dedup_consecutive(self):
-        _, track = feed("AAABBB")
-        assert track.region_history == [Region.A, Region.B]
+        # Repeats and the buffer leave the first anchor in place.
+        events, track = feed("AAABBB")
+        assert events == []
+        assert track.anchor is Region.A
 
     def test_enter_then_exit_both_count(self):
         events, _ = feed("ABCBA")
@@ -145,12 +148,10 @@ class TestUpdateHistory:
         events, _ = feed(labels)
         assert events == []
 
-    @given(st.text(alphabet="ABC", max_size=30))
-    def test_history_stays_deduplicated_and_bounded(self, labels):
-        _, track = feed(labels)
-        h = track.region_history
-        assert len(h) <= 3
-        assert all(a is not b for a, b in zip(h, h[1:]))
+    @given(st.text(alphabet="ABC", max_size=60))
+    def test_matches_anchor_scan_on_long_strings(self, labels):
+        events, _ = feed(labels)
+        assert [(e.kind.value, e.frame_id) for e in events] == anchor_pair_events(labels)
 
 
 class TestLedger:

@@ -48,6 +48,8 @@ GOLDEN = {
 
 SOAK_DIGEST = "bfb28784efb5f039636796d2f5d17e8bbb8a6117c71fa66e72be8a2624aa2c6c"
 
+DENSE_DIGEST = "4018732f32323304a80e099ae58575c842e5270f47c951509ba2c880fe61fe52"
+
 STREAM_GOLDEN = {
     ("clean_entry", 16): "242b9c66509e7f1a6f58ee0059c00e6d70102068645c528a53cd3fff11bc6fba",
     ("clean_entry", 1024): "a4e4be23bdcf0f5be9130402497c8ba031ac0c69b6aba22c7aa3f752d1acc9f6",
@@ -102,6 +104,19 @@ def soak_scenarios():
     return [hc.random_crossings(seed, actors=4, noise=noise, embedding_dim=dim) for seed in range(10)]
 
 
+def dense_runs():
+    # 150 short, staggered crossings per seed with 15% misses: 900 events over
+    # 2,058 frames, under both orientations.
+    noise = hc.NoiseSpec(miss_probability=0.15, center_jitter_sigma=0.01)
+    for layout in (hc.RegionLayout(), hc.RegionLayout(0.3, 0.7, "outside_bottom")):
+        for seed in range(3):
+            spec = hc.random_crossings(
+                seed, actors=150, crossing_frames=30, stagger=2, noise=noise, embedding_dim=16
+            )
+            frames, _ = hc.generate(spec, layout)
+            yield hc.run_frames(frames, hc.EngineConfig(layout=layout))
+
+
 def run_rendered(frames):
     stream = io.StringIO()
     hc.write_stream(frames, stream)
@@ -131,6 +146,13 @@ def test_noisy_soak_events_are_pinned():
         frames, _ = hc.generate(spec)
         digest(hc.run_frames(frames), sha)
     assert sha.hexdigest() == SOAK_DIGEST
+
+
+def test_dense_churn_events_are_pinned():
+    sha = hashlib.sha256()
+    for result in dense_runs():
+        digest(result, sha)
+    assert sha.hexdigest() == DENSE_DIGEST
 
 
 def test_noisy_soak_streams_are_pinned():

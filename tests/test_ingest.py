@@ -222,6 +222,12 @@ class TestFilterHeads:
         kept = filter_heads(frame, 0.5)
         assert frame.detections.confidences[kept].tolist() == [0.70, 0.5]
 
+    @pytest.mark.parametrize("floor", [True, "0.5", float("nan"), -0.1, 1.5])
+    def test_floor_follows_the_number_rule(self, floor):
+        # A bool must not read as a floor of 1.0 and silently drop a 0.95 head.
+        with pytest.raises(ValueError, match="^min_confidence must"):
+            filter_heads(frame_of(head(0.95)), floor)
+
     @given(
         st.lists(st.tuples(st.sampled_from(["head", "chair", "bag"]), st.floats(0, 1)), max_size=12),
         st.floats(0, 1),

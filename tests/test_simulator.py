@@ -1,4 +1,5 @@
 import io
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -30,6 +31,20 @@ def render(frames):
     return buf.getvalue()
 
 
+# The required arguments of each spec that has number fields.
+SPEC_BASES = {
+    NoiseSpec: {},
+    DistractionSpec: {"class_label": DetectionClass.CHAIR, "x": 0.5, "y": 0.5},
+    ScenarioSpec: {"name": "x", "seed": 1, "duration_frames": 2},
+}
+
+
+def number_fields():
+    """(spec class, its required arguments, field) for every int or float field."""
+    for spec, base in SPEC_BASES.items():
+        yield from ((spec, base, f) for f in fields(spec) if f.type in ("int", "float"))
+
+
 class TestSpecs:
     def test_actor_path_must_stay_in_frame(self):
         with pytest.raises(ValueError):
@@ -56,6 +71,19 @@ class TestSpecs:
     def test_scenario_duration_positive(self):
         with pytest.raises(ValueError):
             ScenarioSpec("x", 1, 0)
+
+    @pytest.mark.parametrize(
+        "spec, base, field",
+        list(number_fields()),
+        ids=[f"{spec.__name__}.{f.name}" for spec, _, f in number_fields()],
+    )
+    def test_every_field_follows_the_number_rule(self, spec, base, field):
+        # Found with dataclasses.fields, so a number field added later inherits
+        # the rule: a bool, a string or a NaN (and a fraction for a count) is
+        # refused by the constructor, with the field's name.
+        for value in (True, "0.5", float("nan")) + ((2.5,) if field.type == "int" else ()):
+            with pytest.raises(ValueError, match=f"^{field.name} must"):
+                spec(**{**base, field.name: value})
 
 
 class TestCatalog:
