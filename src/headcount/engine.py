@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left
+from collections import Counter, defaultdict
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
@@ -89,6 +91,65 @@ class LatencyStats:
         return 1e6 / self.p95_us if self.p95_us > 0 else float("inf")
 
 
+# Latency histogram resolution (HdrHistogram's log buckets): a sample in integer
+# ns keeps its bit length and the SUB_BUCKET_BITS bits after its leading one, so
+# a bucket spans at most 1/128 of its lower bound and its midpoint lies within
+# 0.4% of every sample in it. Samples below 2**(SUB_BUCKET_BITS + 1) ns are exact.
+SUB_BUCKET_BITS = 7
+
+
+def _bucket_mid_us(key: int) -> float:
+    """Midpoint, in us, of the integer ns values that share bucket `key`."""
+    shift = max((key >> SUB_BUCKET_BITS) - 1, 0)
+    low = (key - (shift << SUB_BUCKET_BITS)) << shift
+    return (low + ((1 << shift) - 1) / 2.0) / 1000.0
+
+
+class LatencyRecorder:
+    """Per-frame latency histograms keyed by live track count, in memory that
+    does not grow with the stream: groups x buckets.
+
+    The first WARMUP_FRAMES samples are held aside while caches and the
+    allocator warm up. They are dropped when one more sample arrives and kept
+    if the run ends first, so a short run still reports every frame.
+    """
+
+    def __init__(self):
+        self._held: Optional[list[tuple[int, int]]] = []
+        self._groups: defaultdict[int, Counter] = defaultdict(Counter)
+
+    def add(self, tracks: int, elapsed_ns: int) -> None:
+        held = self._held
+        if held is not None:
+            if len(held) < WARMUP_FRAMES:
+                held.append((tracks, elapsed_ns))
+                return
+            self._held = None
+        self._count(self._groups, tracks, elapsed_ns)
+
+    @staticmethod
+    def _count(groups: defaultdict, tracks: int, elapsed_ns: int) -> None:
+        shift = elapsed_ns.bit_length() - (SUB_BUCKET_BITS + 1)
+        key = elapsed_ns if shift <= 0 else (shift << SUB_BUCKET_BITS) + (elapsed_ns >> shift)
+        groups[tracks][key] += 1
+
+    def report(self) -> "BenchReport":
+        """Nearest-rank p50/p95/p99 per track count, read from the buckets."""
+        groups, excluded = self._groups, WARMUP_FRAMES
+        if self._held is not None:  # the run ended inside the warm-up: keep it all
+            groups, excluded = defaultdict(Counter), 0
+            for tracks, elapsed_ns in self._held:
+                self._count(groups, tracks, elapsed_ns)
+        stats = {}
+        for tracks, buckets in sorted(groups.items()):
+            keys = sorted(buckets)
+            seen = list(itertools.accumulate(buckets[key] for key in keys))
+            ranks = [(q * seen[-1] + 99) // 100 for q in (50, 95, 99)]
+            values = [_bucket_mid_us(keys[bisect_left(seen, rank)]) for rank in ranks]
+            stats[tracks] = LatencyStats(seen[-1], *values)
+        return BenchReport(groups=stats, warmup_excluded=excluded)
+
+
 @dataclass
 class BenchReport:
     """Per-frame engine latency percentiles grouped by simultaneous tracks."""
@@ -98,20 +159,12 @@ class BenchReport:
 
     @classmethod
     def from_samples(cls, samples: Sequence[tuple[int, float]]) -> "BenchReport":
-        """Build from (track_count, elapsed_us) pairs in collection order.
-
-        The first WARMUP_FRAMES samples are dropped unless the run is too short
-        to spare them.
-        """
-        excluded = WARMUP_FRAMES if len(samples) > WARMUP_FRAMES else 0
-        by_count: dict[int, list[float]] = {}
-        for count, elapsed_us in samples[excluded:]:
-            by_count.setdefault(count, []).append(elapsed_us)
-        groups = {}
-        for count, values in sorted(by_count.items()):
-            p50, p95, p99 = np.percentile(values, [50.0, 95.0, 99.0])
-            groups[count] = LatencyStats(len(values), float(p50), float(p95), float(p99))
-        return cls(groups=groups, warmup_excluded=excluded)
+        """Build from (track_count, elapsed_us) pairs in collection order, with
+        LatencyRecorder's warm-up rule."""
+        recorder = LatencyRecorder()
+        for count, elapsed_us in samples:
+            recorder.add(count, round(elapsed_us * 1000.0))
+        return recorder.report()
 
     def to_dict(self) -> dict:
         return {
@@ -181,14 +234,13 @@ class RunResult:
 
 
 def _timed_frames(
-    engine: Engine, frames: Iterable[FrameRecord], samples: list[tuple[int, float]]
+    engine: Engine, frames: Iterable[FrameRecord], recorder: LatencyRecorder
 ) -> None:
-    """Process frames in order; append one (live tracks, us in process_frame) sample each."""
+    """Process frames in order; record each one's live tracks and ns in process_frame."""
     for frame in frames:
         t0 = time.perf_counter_ns()
         engine.process_frame(frame)
-        elapsed_us = (time.perf_counter_ns() - t0) / 1000.0
-        samples.append((len(engine.tracker.objects), elapsed_us))
+        recorder.add(len(engine.tracker.objects), time.perf_counter_ns() - t0)
 
 
 def run(source, config: Optional[EngineConfig] = None) -> RunResult:
@@ -206,15 +258,15 @@ def run(source, config: Optional[EngineConfig] = None) -> RunResult:
 def run_frames(frames: Iterable[FrameRecord], config: Optional[EngineConfig] = None) -> RunResult:
     """Like run(), for frames that are already parsed (no stream decoding)."""
     engine = Engine(config or EngineConfig())
-    samples: list[tuple[int, float]] = []
+    recorder = LatencyRecorder()
     error = None
     try:
-        _timed_frames(engine, frames, samples)
+        _timed_frames(engine, frames, recorder)
     except StreamError as exc:
         error = exc
     result = RunResult(
         ledger=engine.ledger,
-        bench=BenchReport.from_samples(samples),
+        bench=recorder.report(),
         frames=engine.frames_processed,
         lighting_counts=engine.lighting_counts,
         track_ids_issued=engine.tracker.ids_issued,
@@ -232,9 +284,9 @@ def bench(
 ) -> BenchReport:
     """Measure per-frame engine latency over pre-generated scenario frames.
 
-    Frames are generated (and thus parsed) up front so the measurement covers
-    association and counting only. Runs single-threaded; a fresh engine per
-    repetition keeps state comparable across reps.
+    Frames are generated up front as records, never parsed, so the measurement
+    covers filtering, association and counting only. Runs single-threaded; a
+    fresh engine per repetition keeps state comparable across reps.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
@@ -242,11 +294,11 @@ def bench(
         raise ValueError("bench needs at least one scenario")
     cfg = config or EngineConfig()
     frame_sets = [generate(spec, cfg.layout)[0] for spec in scenarios]
-    samples: list[tuple[int, float]] = []
+    recorder = LatencyRecorder()
     for _ in range(repetitions):
         for frames in frame_sets:
-            _timed_frames(Engine(cfg), frames, samples)
-    return BenchReport.from_samples(samples)
+            _timed_frames(Engine(cfg), frames, recorder)
+    return recorder.report()
 
 
 @dataclass(frozen=True)

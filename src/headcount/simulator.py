@@ -10,6 +10,7 @@ deterministic for a fixed scenario, so streams replay byte-identically.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -25,6 +26,7 @@ from .counter import (
     RegionLayout,
     accuracy,
     check_numbers,
+    is_number_type,
 )
 from .ingest import DEFAULT_EMBEDDING_DIM, DetectionClass, Detections, FrameRecord
 
@@ -74,16 +76,22 @@ class ActorSpec:
     missed_frames: frozenset[int] = frozenset()
 
     def __post_init__(self):
+        check_numbers(self, (), ("actor_id",))
         if not self.path:
             raise ValueError(f"actor {self.actor_id}: path needs at least one waypoint")
-        frames = [wp[0] for wp in self.path]
-        if any(b <= a for a, b in zip(frames, frames[1:])):
-            raise ValueError(f"actor {self.actor_id}: waypoint frames must strictly increase")
         for f, x, y in self.path:
+            if not isinstance(f, numbers.Integral) or not all(map(is_number_type, map(type, (f, x, y)))):
+                raise ValueError(
+                    f"actor {self.actor_id}: waypoint ({f!r}, {x!r}, {y!r}) must be an integer "
+                    "frame and two numbers"
+                )
             if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
                 raise ValueError(
                     f"actor {self.actor_id}: waypoint ({x}, {y}) at frame {f} leaves the frame"
                 )
+        frames = [wp[0] for wp in self.path]
+        if any(b <= a for a, b in zip(frames, frames[1:])):
+            raise ValueError(f"actor {self.actor_id}: waypoint frames must strictly increase")
         self.base_embedding = np.asarray(self.base_embedding, dtype=float)
         if self.base_embedding.ndim != 1 or not np.any(self.base_embedding):
             raise ValueError(f"actor {self.actor_id}: base embedding must be a non-zero vector")
@@ -119,6 +127,8 @@ class ScenarioSpec:
 
     def __post_init__(self):
         check_numbers(self, ("fps",), ("seed", "duration_frames"))
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.duration_frames <= 0:
             raise ValueError("duration_frames must be positive")
         if not self.fps > 0:  # `not >`: a NaN fails too

@@ -1,6 +1,11 @@
 import io
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -13,12 +18,19 @@ from headcount.engine import (
     BenchReport,
     ConfigError,
     EngineConfig,
+    LatencyRecorder,
     bench,
     calibrate,
     run,
     run_frames,
 )
-from headcount.ingest import EmbeddingDimensionError, FrameRecord, LightingMode, write_stream
+from headcount.ingest import (
+    Detections,
+    EmbeddingDimensionError,
+    FrameRecord,
+    LightingMode,
+    write_stream,
+)
 from headcount.simulator import NoiseSpec, generate, make_scenario, random_crossings
 from headcount.tracker import TrackerConfig
 
@@ -210,6 +222,76 @@ class TestBench:
         short = BenchReport.from_samples(samples[:20])
         assert short.warmup_excluded == 0
         assert short.groups[0].samples == 20
+
+    def test_percentiles_within_one_percent_of_nearest_rank(self):
+        # Log-uniform samples from 1 us to 100 ms; some groups hold fewer than
+        # ten samples, so their p95 and p99 are their largest sample.
+        rng = np.random.default_rng(14)
+        sizes = {1: 1, 2: 2, 3: 7, 4: 9, 5: 300, 6: 5000}
+        measured = [
+            (tracks, float(us))
+            for tracks, n in sizes.items()
+            for us in np.exp(rng.uniform(0.0, math.log(1e5), n))
+        ]
+        measured = [measured[k] for k in rng.permutation(len(measured))]
+        report = BenchReport.from_samples([(0, 1.0)] * WARMUP_FRAMES + measured)
+        assert report.warmup_excluded == WARMUP_FRAMES
+        assert set(report.groups) == set(sizes)
+        for tracks, stats in report.groups.items():
+            ns = sorted(round(us * 1000) for count, us in measured if count == tracks)
+            assert stats.samples == len(ns) == sizes[tracks]
+            for q, value in zip((50, 95, 99), (stats.p50_us, stats.p95_us, stats.p99_us)):
+                exact_us = ns[-(-q * len(ns) // 100) - 1] / 1000.0
+                assert abs(value - exact_us) <= 0.01 * exact_us, (tracks, q, value, exact_us)
+
+    def test_run_ending_inside_warmup_keeps_every_sample(self):
+        recorder = LatencyRecorder()
+        for k in range(WARMUP_FRAMES):
+            recorder.add(k % 2, 100 + k)
+        report = recorder.report()
+        assert report.warmup_excluded == 0
+        assert [s.samples for s in report.groups.values()] == [WARMUP_FRAMES // 2] * 2
+        assert report.groups[0].p99_us == (100 + WARMUP_FRAMES - 2) / 1000.0  # exact below 256 ns
+        recorder.add(7, 5000)
+        report = recorder.report()
+        assert report.warmup_excluded == WARMUP_FRAMES
+        assert list(report.groups) == [7] and report.groups[7].samples == 1
+
+    def test_run_memory_does_not_grow_with_the_stream(self):
+        # The latency store is a histogram per occupancy, not a sample per
+        # frame: a per-frame sample list grows this peak by about 0.4 MiB.
+        empty = Detections.from_rows()
+
+        def peak_bytes(n):
+            tracemalloc.start()
+            try:
+                run_frames(FrameRecord(i, 50 * i, empty) for i in range(n))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_frames(FrameRecord(i, 50 * i, empty) for i in range(100))
+        assert peak_bytes(5000) - peak_bytes(1000) < 32 * 1024
+
+    def test_run_and_bench_never_import_numpy_ma(self):
+        # np.percentile imports numpy.ma lazily, about 2 MB of resident memory.
+        code = (
+            "import io, sys\n"
+            "import headcount as hc\n"
+            "frames, _ = hc.generate(hc.make_scenario('multi_3', 8))\n"
+            "buf = io.StringIO()\n"
+            "hc.write_stream(frames, buf)\n"
+            "assert hc.run(io.StringIO(buf.getvalue())).bench.groups\n"
+            "assert hc.bench([hc.make_scenario('clean_entry', 8)], repetitions=1).groups\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):

@@ -33,6 +33,7 @@ def render(frames):
 
 # The required arguments of each spec that has number fields.
 SPEC_BASES = {
+    ActorSpec: {"path": [(0, 0.5, 0.5)], "base_embedding": np.ones(4)},
     NoiseSpec: {},
     DistractionSpec: {"class_label": DetectionClass.CHAIR, "x": 0.5, "y": 0.5},
     ScenarioSpec: {"name": "x", "seed": 1, "duration_frames": 2},
@@ -71,6 +72,27 @@ class TestSpecs:
     def test_scenario_duration_positive(self):
         with pytest.raises(ValueError):
             ScenarioSpec("x", 1, 0)
+
+    def test_scenario_seed_non_negative(self):
+        # numpy's own refusal names neither the field nor the spec
+        with pytest.raises(ValueError, match="^seed must be >= 0"):
+            ScenarioSpec("x", seed=-1, duration_frames=3)
+
+    @pytest.mark.parametrize(
+        "waypoint",
+        [(0.5, True, 0.5), (0.5, 0.5, 0.5), (True, 0.5, 0.5), (0, 0.5, False), (0, "0.5", 0.5),
+         (0, 0.5, None)],
+    )
+    def test_actor_waypoints_follow_the_number_rule(self, waypoint):
+        # A fractional frame would key the actor's positions by frames the
+        # integer frame loop never reaches, so the actor would never appear.
+        with pytest.raises(ValueError, match="^actor 1: waypoint .* must be an integer frame"):
+            ActorSpec(1, [waypoint, (9, 0.5, 0.7)], np.ones(4))
+
+    def test_numpy_waypoint_numbers_are_accepted_and_seen(self):
+        actor = ActorSpec(1, [(np.int64(0), np.float64(0.5), 0.5), (2, 0.5, 0.7)], np.ones(4))
+        frames, _ = generate(ScenarioSpec("x", seed=1, duration_frames=4, actors=[actor]))
+        assert [len(f.detections.labels) for f in frames] == [1, 1, 1, 0]
 
     @pytest.mark.parametrize(
         "spec, base, field",
