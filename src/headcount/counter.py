@@ -88,16 +88,11 @@ def classify_region(center_y: float, layout: RegionLayout = DEFAULT_LAYOUT) -> R
     A point exactly on a line belongs to B: the buffer owns ties, so a
     boundary position can never produce a count on its own.
     """
-    if layout.orientation is Orientation.OUTSIDE_TOP:
-        if center_y < layout.line_ab:
-            return Region.A
-        if center_y > layout.line_bc:
-            return Region.C
-        return Region.B
-    if center_y > layout.line_bc:
-        return Region.A
+    top = layout.orientation is Orientation.OUTSIDE_TOP
     if center_y < layout.line_ab:
-        return Region.C
+        return Region.A if top else Region.C
+    if center_y > layout.line_bc:
+        return Region.C if top else Region.A
     return Region.B
 
 
@@ -178,13 +173,18 @@ def event_to_json(event: CrossingEvent) -> str:
     )
 
 
-def write_events(events: Iterable[CrossingEvent], fp) -> int:
-    """Write the event log as line-delimited JSON; returns line count."""
+def write_lines(lines: Iterable[str], fp) -> int:
+    """Write each line and a newline to a text file object; returns line count."""
     count = 0
-    for event in events:
-        fp.write(event_to_json(event) + "\n")
+    for line in lines:
+        fp.write(line + "\n")
         count += 1
     return count
+
+
+def write_events(events: Iterable[CrossingEvent], fp) -> int:
+    """Write the event log as line-delimited JSON; returns line count."""
+    return write_lines(map(event_to_json, events), fp)
 
 
 @dataclass(frozen=True)

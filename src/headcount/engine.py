@@ -109,37 +109,27 @@ class LatencyRecorder:
     """Per-frame latency histograms keyed by live track count, in memory that
     does not grow with the stream: groups x buckets.
 
-    The first WARMUP_FRAMES samples are held aside while caches and the
-    allocator warm up. They are dropped when one more sample arrives and kept
-    if the run ends first, so a short run still reports every frame.
+    The first WARMUP_FRAMES samples go into a histogram set of their own
+    while caches and the allocator warm up. The report reads the steady set,
+    or the warm-up set if the run ended before the steady set got a sample,
+    so a short run still reports every frame.
     """
 
     def __init__(self):
-        self._held: Optional[list[tuple[int, int]]] = []
-        self._groups: defaultdict[int, Counter] = defaultdict(Counter)
+        self._added = 0
+        self._warm: defaultdict[int, Counter] = defaultdict(Counter)
+        self._steady: defaultdict[int, Counter] = defaultdict(Counter)
 
     def add(self, tracks: int, elapsed_ns: int) -> None:
-        held = self._held
-        if held is not None:
-            if len(held) < WARMUP_FRAMES:
-                held.append((tracks, elapsed_ns))
-                return
-            self._held = None
-        self._count(self._groups, tracks, elapsed_ns)
-
-    @staticmethod
-    def _count(groups: defaultdict, tracks: int, elapsed_ns: int) -> None:
         shift = elapsed_ns.bit_length() - (SUB_BUCKET_BITS + 1)
         key = elapsed_ns if shift <= 0 else (shift << SUB_BUCKET_BITS) + (elapsed_ns >> shift)
+        groups = self._warm if self._added < WARMUP_FRAMES else self._steady
+        self._added += 1
         groups[tracks][key] += 1
 
     def report(self) -> "BenchReport":
         """Nearest-rank p50/p95/p99 per track count, read from the buckets."""
-        groups, excluded = self._groups, WARMUP_FRAMES
-        if self._held is not None:  # the run ended inside the warm-up: keep it all
-            groups, excluded = defaultdict(Counter), 0
-            for tracks, elapsed_ns in self._held:
-                self._count(groups, tracks, elapsed_ns)
+        groups, excluded = (self._steady, WARMUP_FRAMES) if self._steady else (self._warm, 0)
         stats = {}
         for tracks, buckets in sorted(groups.items()):
             keys = sorted(buckets)

@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .counter import is_number_row, is_number_type
+from .counter import is_number_row, is_number_type, write_lines
 
 DEFAULT_EMBEDDING_DIM = 1024
 
@@ -213,7 +213,7 @@ def sample_pixel_grid(image, grid: tuple[int, int] = (10, 10)) -> np.ndarray:
     return img[np.ix_(rows, cols)][..., :3].reshape(-1, 3)
 
 
-def filter_heads(frame: FrameRecord, min_confidence: float = 0.5) -> np.ndarray:
+def filter_heads(frame: FrameRecord, min_confidence: float) -> np.ndarray:
     """Indices of the head detections at or above the confidence floor, in input order.
 
     Distraction classes (chair, trolley, bag) are dropped regardless of
@@ -327,8 +327,4 @@ def serialize_frame(frame: FrameRecord) -> str:
 
 def write_stream(frames: Iterable[FrameRecord], fp) -> int:
     """Write frames to a text file object, one line each; returns line count."""
-    count = 0
-    for frame in frames:
-        fp.write(serialize_frame(frame) + "\n")
-        count += 1
-    return count
+    return write_lines(map(serialize_frame, frames), fp)

@@ -27,6 +27,7 @@ from .counter import (
     accuracy,
     check_numbers,
     is_number_type,
+    write_lines,
 )
 from .ingest import DEFAULT_EMBEDDING_DIM, DetectionClass, Detections, FrameRecord
 
@@ -237,18 +238,12 @@ def evaluate(ledger: CountLedger, truth: GroundTruth) -> Optional[AccuracyReport
 
 
 def write_ground_truth(truth: GroundTruth, fp) -> int:
-    """Write ground-truth events as line-delimited JSON sidecar records."""
-    count = 0
-    for kind, actor_id, frame_id in truth.events:
-        fp.write(
-            json.dumps(
-                {"kind": kind.value, "actor_id": actor_id, "frame_id": frame_id},
-                separators=(",", ":"),
-            )
-            + "\n"
-        )
-        count += 1
-    return count
+    """Write ground-truth events as line-delimited JSON sidecar records; returns line count."""
+    records = (
+        json.dumps({"kind": kind.value, "actor_id": actor_id, "frame_id": frame_id}, separators=(",", ":"))
+        for kind, actor_id, frame_id in truth.events
+    )
+    return write_lines(records, fp)
 
 
 def _basis(dim: int, index: int) -> np.ndarray:

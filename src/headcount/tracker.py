@@ -4,10 +4,10 @@ Each frame, detections are matched to registered tracks in ascending order
 of cosine distance between unit-norm embeddings, subject to a spatial gate:
 a pair farther apart than the spatial threshold is never matched no matter
 how similar it looks. The candidate pairs are sorted once and walked once,
-so a frame costs O(mn log mn) for m tracks and n detections. Tracks missing
-from the frame accumulate a consecutive-miss count and are evicted once it
-exceeds the miss limit; unmatched detections register as fresh tracks with
-new ids.
+so a frame costs O(mn log mn) for m tracks and n detections. Each track keeps
+the frame id it was last seen at, so its consecutive misses are the frame ids
+since then, skipped ids included, and it is evicted once they exceed the miss
+limit; unmatched detections register as fresh tracks with new ids.
 
 This trades the optimal-assignment guarantee for per-frame cost low enough to
 leave essentially the whole real-time budget to the upstream detector.
@@ -41,13 +41,14 @@ class TrackerConfig:
 
 @dataclass
 class TrackedObject:
-    """A registered identity: the unit-norm embedding row and box center of
-    the detection it last adopted, at birth or on its latest match."""
+    """A registered identity: the unit-norm embedding row, box center and
+    frame id of the detection it last adopted, at birth or on its latest
+    match. Its consecutive misses at frame f are f - last_seen."""
 
     id: int
     unit: np.ndarray
     center: tuple[float, float]
-    e_count: int = 0  # consecutive detection misses
+    last_seen: int = 0
     anchor: Optional[Region] = None  # last of A or C seen; the counter moves it
 
 
@@ -162,24 +163,23 @@ class Tracker:
         return self._next_id - 1
 
     def step(self, embeddings: np.ndarray, centers: np.ndarray, frame_id: int) -> StepReport:
-        """Advance one frame: match, register, age, and evict.
+        """Advance one frame: evict, match, register, and evict again.
 
         `embeddings` (n, d) and `centers` (n, 2) hold the frame's head-filtered
         detections; the embeddings are scaled to unit rows once, as one block.
+        Frame ids must increase from step to step and may skip. Tracks unseen
+        for more than the miss limit by frame_id - 1 are evicted before
+        association, so a gap in the ids ends them as empty frames would.
         Matched tracks adopt the detection's unit row and center outright (no
-        averaging) and reset their miss count. Unmatched detections become new
-        tracks with no anchor, which the counter sets. Unmatched tracks age by
-        one miss, and anything whose miss count exceeds the limit is removed
-        before the step returns; ids are never reused. Each frame id skipped
-        since the previous step first ages every track by one miss, as an
-        empty frame would.
+        averaging) and are last seen now. Unmatched detections become new
+        tracks with no anchor, which the counter sets. Tracks unseen for more
+        than the miss limit by frame_id are evicted before the step returns;
+        ids are never reused.
         """
-        evicted: list[int] = []
-        if self.objects and frame_id > self._frame_id + 1:
-            for track in self.objects:
-                track.e_count += frame_id - self._frame_id - 1
-            evicted = self._evict()
+        if self._frame_id is not None and frame_id <= self._frame_id:
+            raise ValueError(f"frame_id {frame_id} does not increase past {self._frame_id}")
         self._frame_id = frame_id
+        evicted = self._evict(frame_id - 1)
         units = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
         matrices = build_matrices(self.objects, units, centers)
         result = associate(matrices, self.config)
@@ -190,21 +190,19 @@ class Tracker:
             track = self.objects[i]
             track.unit = units[j]
             track.center = points[j]
-            track.e_count = 0
+            track.last_seen = frame_id
             matched.append(track.id)
-        for i in result.unmatched_registered:
-            self.objects[i].e_count += 1
         for j in result.unmatched_detections:
-            track = TrackedObject(id=self._next_id, unit=units[j], center=points[j])
+            track = TrackedObject(id=self._next_id, unit=units[j], center=points[j], last_seen=frame_id)
             self._next_id += 1
             self.objects.append(track)
             created.append(track.id)
-        evicted += self._evict()
+        evicted += self._evict(frame_id)
         return StepReport(frame_id, created, matched, evicted)
 
-    def _evict(self) -> list[int]:
-        """Drop every track whose miss count exceeds the limit; return their ids."""
+    def _evict(self, frame_id: int) -> list[int]:
+        """Drop every track unseen for more than the miss limit by `frame_id`; return their ids."""
         limit = self.config.miss_limit
-        evicted = [track.id for track in self.objects if track.e_count > limit]
-        self.objects = [track for track in self.objects if track.e_count <= limit]
+        evicted = [track.id for track in self.objects if frame_id - track.last_seen > limit]
+        self.objects = [track for track in self.objects if frame_id - track.last_seen <= limit]
         return evicted

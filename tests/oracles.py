@@ -98,3 +98,48 @@ def anchor_pair_events(regions):
             events.append(("exit", idx))
             anchor = "A"
     return events
+
+
+def miss_count_trace(frames, miss_limit):
+    """Literal re-trace of track ageing by a consecutive-miss counter.
+
+    `frames` is [(frame_id, present), ...] with increasing ids, for one person
+    who, when present, gives the one detection of the frame and matches any
+    live track. Each frame first ages the live track by one miss per frame id
+    skipped since the previous frame and evicts it once its count exceeds
+    miss_limit. Then a present person resets the count to 0, or registers a
+    new track with count 0 if none is live; an absent one adds one miss, and
+    the track is evicted once its count exceeds miss_limit. Returns
+    [(created_ids, matched_ids, evicted_ids), ...], one entry per frame.
+    """
+    out = []
+    track_id = None
+    count = 0
+    next_id = 1
+    previous = None
+    for frame_id, present in frames:
+        created, matched, evicted = [], [], []
+        if track_id is not None:
+            skipped = frame_id - previous - 1
+            for _ in range(skipped):
+                count += 1
+            if count > miss_limit:
+                evicted.append(track_id)
+                track_id = None
+        if present:
+            if track_id is None:
+                track_id = next_id
+                next_id += 1
+                count = 0
+                created.append(track_id)
+            else:
+                count = 0
+                matched.append(track_id)
+        elif track_id is not None:
+            count += 1
+        if track_id is not None and count > miss_limit:
+            evicted.append(track_id)
+            track_id = None
+        previous = frame_id
+        out.append((created, matched, evicted))
+    return out

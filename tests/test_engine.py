@@ -386,6 +386,16 @@ class TestFrameGaps:
         assert gapped.track_ids_issued == filled.track_ids_issued
 
 
+    def test_frame_ids_that_do_not_increase_are_refused(self):
+        # Replaying a stream after itself would restart its ids; a decreasing
+        # id would make misses negative and keep stale tracks alive.
+        frames, _ = generate(make_scenario("crossing_pair", DIM))
+        with pytest.raises(ValueError, match=f"^frame_id 0 does not increase past {frames[-1].frame_id}$"):
+            run_frames(frames + frames)
+        with pytest.raises(ValueError, match="^frame_id 3 does not increase past 3$"):
+            run_frames(frames[:4] + frames[3:])
+
+
 class TestCausality:
     def test_counts_never_precede_track_positions(self):
         # Events must carry the frame at which the terminal region was

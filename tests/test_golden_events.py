@@ -13,6 +13,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 import headcount as hc
@@ -49,6 +50,15 @@ GOLDEN = {
 SOAK_DIGEST = "bfb28784efb5f039636796d2f5d17e8bbb8a6117c71fa66e72be8a2624aa2c6c"
 
 DENSE_DIGEST = "4018732f32323304a80e099ae58575c842e5270f47c951509ba2c880fe61fe52"
+
+GAPPED_DIGEST = "8434c6dcb9ee7315c94be120f22ec852e83f26e956a65d11a713169bf290b4c8"
+
+# (events, track ids issued) per seed, under miss_limit 0, 2 and 5.
+GAPPED_COUNTS = {
+    0: [(14, 621), (75, 233), (76, 222)],
+    1: [(18, 633), (73, 254), (86, 228)],
+    2: [(21, 659), (70, 266), (95, 213)],
+}
 
 STREAM_GOLDEN = {
     ("clean_entry", 16): "242b9c66509e7f1a6f58ee0059c00e6d70102068645c528a53cd3fff11bc6fba",
@@ -117,6 +127,22 @@ def dense_runs():
             yield hc.run_frames(frames, hc.EngineConfig(layout=layout))
 
 
+def gapped_runs(seed):
+    # The dense streams with a quarter of their frame ids dropped, in runs of
+    # 1-11, so tracks age across skipped ids under three miss limits.
+    noise = hc.NoiseSpec(miss_probability=0.15, center_jitter_sigma=0.01)
+    spec = hc.random_crossings(seed, actors=150, crossing_frames=30, stagger=2, noise=noise, embedding_dim=16)
+    frames, _ = hc.generate(spec)
+    rng = np.random.default_rng(seed)
+    dropped: set[int] = set()
+    while len(dropped) < len(frames) // 4:
+        start = int(rng.integers(1, len(frames)))
+        dropped.update(range(start, start + int(rng.integers(1, 12))))
+    kept = [f for f in frames if f.frame_id not in dropped]
+    for miss_limit in (0, 2, 5):
+        yield hc.run_frames(kept, hc.EngineConfig(tracker=hc.TrackerConfig(miss_limit=miss_limit)))
+
+
 def run_rendered(frames):
     stream = io.StringIO()
     hc.write_stream(frames, stream)
@@ -153,6 +179,16 @@ def test_dense_churn_events_are_pinned():
     for result in dense_runs():
         digest(result, sha)
     assert sha.hexdigest() == DENSE_DIGEST
+
+
+def test_gapped_dense_events_are_pinned():
+    sha = hashlib.sha256()
+    for seed, counts in GAPPED_COUNTS.items():
+        results = list(gapped_runs(seed))
+        assert [(len(r.events), r.track_ids_issued) for r in results] == counts
+        for result in results:
+            digest(result, sha)
+    assert sha.hexdigest() == GAPPED_DIGEST
 
 
 def test_noisy_soak_streams_are_pinned():

@@ -15,7 +15,7 @@ from headcount.tracker import (
     build_matrices,
 )
 
-from oracles import feature_distance, greedy_gated_assignment, spatial_distance
+from oracles import feature_distance, greedy_gated_assignment, miss_count_trace, spatial_distance
 
 
 def detection(x=0.5, y=0.5, emb=(1.0, 0.0), conf=0.95, size=0.08):
@@ -297,11 +297,11 @@ class TestTrackerStep:
         tracker = Tracker(config())
         step(tracker, [detection()], 0)
         step(tracker, [], 1)
-        assert tracker.objects[0].e_count == 1
+        assert tracker.objects[0].last_seen == 0  # one miss at frame 1
         report = step(tracker, [detection()], 2)
         assert report.matched_ids == [1]
         assert report.created_ids == []
-        assert tracker.objects[0].e_count == 0
+        assert tracker.objects[0].last_seen == 2  # no misses at frame 2
 
     def test_match_adopts_detection_state(self):
         tracker = Tracker(config(d=0.5))
@@ -338,7 +338,7 @@ class TestTrackerStep:
         report = step(tracker, [detection()], 300)
         assert (report.evicted_ids, report.matched_ids, report.created_ids) == ([1], [], [2])
         step(tracker, [], 304)  # three skipped ids plus this empty frame
-        assert tracker.objects[0].e_count == 4
+        assert 304 - tracker.objects[0].last_seen == 4
 
     def test_no_track_exceeds_miss_limit_after_step(self):
         rng = np.random.default_rng(11)
@@ -353,7 +353,7 @@ class TestTrackerStep:
                 for _ in range(int(rng.integers(0, 4)))
             ]
             step(tracker, dets, frame)
-            assert all(t.e_count <= 2 for t in tracker.objects)
+            assert all(frame - t.last_seen <= 2 for t in tracker.objects)
 
     def test_far_detection_spawns_new_track(self):
         tracker = Tracker(config(t=0.5, d=0.1))
@@ -361,3 +361,31 @@ class TestTrackerStep:
         report = step(tracker, [detection(x=0.8, y=0.8)], 1)  # same look, too far
         assert report.created_ids == [2]
         assert report.matched_ids == []
+
+    @pytest.mark.parametrize("frame_id", [4, 3])
+    def test_frame_id_must_increase(self, frame_id):
+        tracker = Tracker(config())
+        step(tracker, [detection()], 2)
+        step(tracker, [detection()], 4)
+        with pytest.raises(ValueError, match=f"^frame_id {frame_id} does not increase past 4$"):
+            step(tracker, [detection()], frame_id)
+        assert [(t.id, t.last_seen) for t in tracker.objects] == [(1, 4)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.integers(-3, 3),
+        st.lists(st.tuples(st.integers(1, 9), st.booleans()), max_size=40),
+    )
+    def test_lifetime_matches_the_miss_count_oracle(self, miss_limit, start, steps):
+        # One person at one spot, seen or missed at increasing ids with gaps:
+        # each step's births, matches and evictions follow a literal
+        # per-track miss counter, aged by every skipped id.
+        frames, frame_id = [], start
+        for gap, present in steps:
+            frames.append((frame_id, present))
+            frame_id += gap
+        tracker = Tracker(config(e=miss_limit))
+        reports = [step(tracker, [detection()] if present else [], f) for f, present in frames]
+        got = [(r.created_ids, r.matched_ids, r.evicted_ids) for r in reports]
+        assert got == miss_count_trace(frames, miss_limit)
