@@ -27,7 +27,7 @@ from .counter import (
     tally,
     update_history,
 )
-from .ingest import FrameRecord, StreamError, filter_heads, parse_stream
+from .ingest import FrameRecord, StreamError, check_order, filter_heads, parse_stream
 from .simulator import GroundTruth, ScenarioSpec, evaluate, generate
 from .tracker import Tracker, TrackerConfig
 
@@ -147,15 +147,6 @@ class BenchReport:
     groups: dict[int, LatencyStats]
     warmup_excluded: int
 
-    @classmethod
-    def from_samples(cls, samples: Sequence[tuple[int, float]]) -> "BenchReport":
-        """Build from (track_count, elapsed_us) pairs in collection order, with
-        LatencyRecorder's warm-up rule."""
-        recorder = LatencyRecorder()
-        for count, elapsed_us in samples:
-            recorder.add(count, round(elapsed_us * 1000.0))
-        return recorder.report()
-
     def to_dict(self) -> dict:
         return {
             "warmup_excluded": self.warmup_excluded,
@@ -181,9 +172,12 @@ class Engine:
         self.ledger = CountLedger()
         self.lighting_counts = {"day": 0, "night": 0, "unknown": 0}
         self.frames_processed = 0
+        self._last: Optional[tuple[int, int]] = None  # (frame_id, ts_ms) of the last frame
 
     def process_frame(self, frame: FrameRecord) -> list[CrossingEvent]:
-        """Run one frame through filter -> track -> count; returns new events."""
+        """Run one frame through filter -> track -> count; returns new events.
+        A frame out of order (`check_order`) is refused before any state changes."""
+        self._last = check_order(frame, self._last)
         mode = frame.lighting
         self.lighting_counts[mode.value if mode is not None else "unknown"] += 1
         kept = filter_heads(frame, self.config.min_confidence)

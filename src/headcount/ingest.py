@@ -67,7 +67,8 @@ class StreamParseError(StreamError):
 
 
 class StreamOrderError(StreamError):
-    """Frame ids must strictly increase and timestamps never go backward."""
+    """A frame breaks the frame-order rule of `check_order`: `parse_stream`
+    names its line, and `Engine.process_frame` refuses it before any state changes."""
 
 
 class EmbeddingDimensionError(StreamError):
@@ -227,6 +228,24 @@ def filter_heads(frame: FrameRecord, min_confidence: float) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
+def check_order(
+    frame: FrameRecord, last: Optional[tuple[int, int]], line_number: Optional[int] = None
+) -> tuple[int, int]:
+    """The frame-order rule: frame ids strictly increase and `ts_ms` never goes back.
+
+    `last` is the (frame_id, ts_ms) of the frame before, or None at the start.
+    Returns the frame's own pair; raises StreamOrderError, naming the line when
+    given one, if the frame does not follow `last`.
+    """
+    frame_id, ts_ms = frame.frame_id, frame.timestamp_ms
+    if last is not None:
+        if frame_id <= last[0]:
+            raise StreamOrderError(f"frame_id {frame_id} does not increase past {last[0]}", line_number)
+        if ts_ms < last[1]:
+            raise StreamOrderError(f"timestamp {ts_ms} goes backward past {last[1]}", line_number)
+    return frame_id, ts_ms
+
+
 def _frame_from_obj(obj, line_number: int) -> FrameRecord:
     if not isinstance(obj, dict):
         raise StreamParseError("frame record must be a JSON object", line_number)
@@ -269,12 +288,11 @@ def parse_stream(
 
     `source` may be a file object (text or binary) or any iterable of lines.
     The embedding dimension is locked to `embedding_dim` when given, otherwise
-    to the first embedding seen; any later mismatch is a stream error. Frame
-    ids must strictly increase and timestamps must never decrease.
+    to the first embedding seen; any later mismatch is a stream error. The
+    frames must follow the frame-order rule of `check_order`.
     """
     expected_dim = embedding_dim
-    last_frame_id: Optional[int] = None
-    last_ts: Optional[int] = None
+    last = None
     for line_number, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             try:
@@ -289,14 +307,7 @@ def parse_stream(
         except json.JSONDecodeError as exc:
             raise StreamParseError(f"invalid JSON: {exc}", line_number) from None
         frame = _frame_from_obj(obj, line_number)
-        if last_frame_id is not None and frame.frame_id <= last_frame_id:
-            raise StreamOrderError(
-                f"frame_id {frame.frame_id} does not increase past {last_frame_id}", line_number
-            )
-        if last_ts is not None and frame.timestamp_ms < last_ts:
-            raise StreamOrderError(
-                f"timestamp {frame.timestamp_ms} goes backward past {last_ts}", line_number
-            )
+        last = check_order(frame, last, line_number)
         dim = frame.detections.embeddings.shape[1]
         if dim and expected_dim is None:
             expected_dim = dim
@@ -304,8 +315,6 @@ def parse_stream(
             raise EmbeddingDimensionError(
                 f"embedding length {dim} != stream dimension {expected_dim}", line_number
             )
-        last_frame_id = frame.frame_id
-        last_ts = frame.timestamp_ms
         yield frame
 
 

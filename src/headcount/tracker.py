@@ -56,18 +56,12 @@ class TrackedObject:
 class DistanceMatrices:
     """Per-frame cost state: rows are registered tracks, columns detections.
 
-    Both matrices are rebuilt every frame; `associate` reads them and leaves
-    them unchanged.
+    Both matrices share one (m, n) shape, as `build_matrices` makes them, and
+    are rebuilt every frame; `associate` reads them and leaves them unchanged.
     """
 
     feature: np.ndarray
     spatial: np.ndarray
-
-    def __post_init__(self):
-        if self.feature.shape != self.spatial.shape:
-            raise ValueError(
-                f"matrix shapes differ: {self.feature.shape} vs {self.spatial.shape}"
-            )
 
 
 @dataclass
@@ -156,7 +150,6 @@ class Tracker:
         self.config = config or TrackerConfig()
         self.objects: list[TrackedObject] = []
         self._next_id = 1
-        self._frame_id: Optional[int] = None
 
     @property
     def ids_issued(self) -> int:
@@ -167,18 +160,17 @@ class Tracker:
 
         `embeddings` (n, d) and `centers` (n, 2) hold the frame's head-filtered
         detections; the embeddings are scaled to unit rows once, as one block.
-        Frame ids must increase from step to step and may skip. Tracks unseen
-        for more than the miss limit by frame_id - 1 are evicted before
-        association, so a gap in the ids ends them as empty frames would.
+        Precondition, not checked here: frame_id exceeds the previous step's
+        (the engine refuses any other frame first, by `ingest.check_order`).
+        Ids may skip: tracks unseen for more than the miss limit by
+        frame_id - 1 are evicted before association, so a gap in the ids ends
+        them as empty frames would.
         Matched tracks adopt the detection's unit row and center outright (no
         averaging) and are last seen now. Unmatched detections become new
         tracks with no anchor, which the counter sets. Tracks unseen for more
         than the miss limit by frame_id are evicted before the step returns;
         ids are never reused.
         """
-        if self._frame_id is not None and frame_id <= self._frame_id:
-            raise ValueError(f"frame_id {frame_id} does not increase past {self._frame_id}")
-        self._frame_id = frame_id
         evicted = self._evict(frame_id - 1)
         units = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
         matrices = build_matrices(self.objects, units, centers)

@@ -84,28 +84,30 @@ class TestRun:
         assert report["error"] is None
 
     def test_bad_line_keeps_counted_frames(self, tmp_path, capsys):
-        # A zero-norm emb on line 3 of 5: exit 1, and the entry counted on
-        # line 2 is still written out.
+        # A zero-norm emb, or a repeated frame id, on line 3 of 5: exit 1,
+        # and the entry counted on line 2 is still written out.
         def line(frame_id, y0, emb):
             det = {"class": "head", "conf": 0.9, "box": [0.46, y0, 0.54, y0 + 0.08], "emb": emb}
             return json.dumps({"frame_id": frame_id, "ts_ms": 50 * frame_id, "detections": [det]})
 
-        stream = tmp_path / "stream.jsonl"
-        stream.write_text("\n".join(
-            [line(0, 0.34, [1, 0]), line(1, 0.58, [1, 0]), line(2, 0.58, [0, 0]),
-             line(3, 0.58, [1, 0]), line(4, 0.58, [1, 0])]
-        ) + "\n")
-        events_out, report_out = tmp_path / "events.jsonl", tmp_path / "report.json"
-        code = main(["run", "--input", str(stream), "--events-out", str(events_out),
-                     "--report-out", str(report_out)])
-        assert code == 1
-        assert "line 3" in capsys.readouterr().err
-        events = [json.loads(e) for e in events_out.read_text().splitlines()]
-        assert events == [{"kind": "entry", "track_id": 1, "frame_id": 1, "ts_ms": 50}]
-        report = json.loads(report_out.read_text())
-        assert report["ledger"] == {"ins": 1, "outs": 0, "occupancy": 1}
-        assert report["frames"] == 2
-        assert report["error"].startswith("line 3: ") and "zero" in report["error"]
+        bad_lines = {"zero norm": line(2, 0.58, [0, 0]), "does not increase past 1": line(1, 0.58, [1, 0])}
+        for reason, bad in bad_lines.items():
+            stream = tmp_path / "stream.jsonl"
+            stream.write_text("\n".join(
+                [line(0, 0.34, [1, 0]), line(1, 0.58, [1, 0]), bad,
+                 line(3, 0.58, [1, 0]), line(4, 0.58, [1, 0])]
+            ) + "\n")
+            events_out, report_out = tmp_path / "events.jsonl", tmp_path / "report.json"
+            code = main(["run", "--input", str(stream), "--events-out", str(events_out),
+                         "--report-out", str(report_out)])
+            assert code == 1
+            assert "line 3" in capsys.readouterr().err
+            events = [json.loads(e) for e in events_out.read_text().splitlines()]
+            assert events == [{"kind": "entry", "track_id": 1, "frame_id": 1, "ts_ms": 50}]
+            report = json.loads(report_out.read_text())
+            assert report["ledger"] == {"ins": 1, "outs": 0, "occupancy": 1}
+            assert report["frames"] == 2
+            assert report["error"].startswith("line 3: ") and reason in report["error"]
 
     def test_missing_input_is_input_error(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "absent.jsonl")]) == 1

@@ -15,8 +15,8 @@ import pytest
 from headcount.counter import Orientation, RegionLayout, write_events
 from headcount.engine import (
     WARMUP_FRAMES,
-    BenchReport,
     ConfigError,
+    Engine,
     EngineConfig,
     LatencyRecorder,
     bench,
@@ -29,6 +29,7 @@ from headcount.ingest import (
     EmbeddingDimensionError,
     FrameRecord,
     LightingMode,
+    StreamOrderError,
     write_stream,
 )
 from headcount.simulator import NoiseSpec, generate, make_scenario, random_crossings
@@ -46,6 +47,15 @@ def stream_for(name, dim=DIM, lighting=None):
     write_stream(frames, buf)
     buf.seek(0)
     return buf, truth
+
+
+def report_from_samples(samples):
+    """The BenchReport of (track_count, elapsed_us) pairs in collection order,
+    with LatencyRecorder's warm-up rule."""
+    recorder = LatencyRecorder()
+    for count, elapsed_us in samples:
+        recorder.add(count, round(elapsed_us * 1000.0))
+    return recorder.report()
 
 
 def settable_fields():
@@ -216,10 +226,10 @@ class TestBench:
 
     def test_warmup_exclusion(self):
         samples = [(0, 1.0)] * 60
-        report = BenchReport.from_samples(samples)
+        report = report_from_samples(samples)
         assert report.warmup_excluded == WARMUP_FRAMES
         assert report.groups[0].samples == 60 - WARMUP_FRAMES
-        short = BenchReport.from_samples(samples[:20])
+        short = report_from_samples(samples[:20])
         assert short.warmup_excluded == 0
         assert short.groups[0].samples == 20
 
@@ -234,7 +244,7 @@ class TestBench:
             for us in np.exp(rng.uniform(0.0, math.log(1e5), n))
         ]
         measured = [measured[k] for k in rng.permutation(len(measured))]
-        report = BenchReport.from_samples([(0, 1.0)] * WARMUP_FRAMES + measured)
+        report = report_from_samples([(0, 1.0)] * WARMUP_FRAMES + measured)
         assert report.warmup_excluded == WARMUP_FRAMES
         assert set(report.groups) == set(sizes)
         for tracks, stats in report.groups.items():
@@ -390,10 +400,57 @@ class TestFrameGaps:
         # Replaying a stream after itself would restart its ids; a decreasing
         # id would make misses negative and keep stale tracks alive.
         frames, _ = generate(make_scenario("crossing_pair", DIM))
-        with pytest.raises(ValueError, match=f"^frame_id 0 does not increase past {frames[-1].frame_id}$"):
+        last = frames[-1].frame_id
+        with pytest.raises(StreamOrderError, match=f"^frame_id 0 does not increase past {last}$"):
             run_frames(frames + frames)
-        with pytest.raises(ValueError, match="^frame_id 3 does not increase past 3$"):
+        with pytest.raises(StreamOrderError, match="^frame_id 3 does not increase past 3$"):
             run_frames(frames[:4] + frames[3:])
+
+    def test_refused_frame_keeps_the_counted_frames_result(self):
+        frames, _ = generate(make_scenario("crossing_pair", DIM))
+        clean = run_frames(frames)
+        with pytest.raises(StreamOrderError) as info:
+            run_frames(frames + frames[:1])
+        assert info.value.line_number is None
+        result = info.value.result
+        assert result.frames == len(frames) == 60
+        assert result.ledger.snapshot() == clean.ledger.snapshot()
+        assert result.events == clean.events
+        assert result.lighting_counts == clean.lighting_counts
+
+    def test_timestamp_that_goes_backward_is_refused_with_the_result(self):
+        frames, _ = generate(make_scenario("crossing_pair", DIM))
+        last_ts = frames[-1].timestamp_ms
+        late = FrameRecord(frames[-1].frame_id + 1, last_ts - 1)
+        refusal = f"^timestamp {last_ts - 1} goes backward past {last_ts}$"
+        with pytest.raises(StreamOrderError, match=refusal) as info:
+            run_frames(frames + [late])
+        assert info.value.result.frames == len(frames)
+        assert info.value.result.ledger.snapshot() == run_frames(frames).ledger.snapshot()
+
+    def test_refused_frame_leaves_no_trace(self):
+        frames, _ = generate(make_scenario("crossing_pair", DIM))
+        engine = Engine()
+        engine.process_frame(frames[0])
+        issued = engine.tracker.ids_issued
+        with pytest.raises(StreamOrderError):
+            engine.process_frame(frames[0])
+        assert engine.lighting_counts == {"day": 0, "night": 0, "unknown": 1}
+        assert engine.frames_processed == 1
+        assert engine.tracker.ids_issued == issued
+
+    @pytest.mark.parametrize("frame_id", [4, 3])
+    def test_frame_id_must_increase(self, frame_id):
+        def frame(fid):
+            head = ("head", 0.95, (0.46, 0.46, 0.54, 0.54), [1.0, 0.0])
+            return FrameRecord(fid, 50 * fid, Detections.from_rows([head]))
+
+        engine = Engine()
+        engine.process_frame(frame(2))
+        engine.process_frame(frame(4))
+        with pytest.raises(StreamOrderError, match=f"^frame_id {frame_id} does not increase past 4$"):
+            engine.process_frame(frame(frame_id))
+        assert [(t.id, t.last_seen) for t in engine.tracker.objects] == [(1, 4)]
 
 
 class TestCausality:
