@@ -14,6 +14,7 @@ from .counter import (
     CountLedger,
     CrossingEvent,
     EventKind,
+    EventLog,
     Orientation,
     Region,
     RegionLayout,

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import numbers
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -135,13 +137,43 @@ def update_history(
     return CrossingEvent(kind, track.id, frame_id, timestamp_ms)
 
 
+class EventLog(Sequence):
+    """A read-only sequence of crossing events in tally order, equal to any
+    sequence of the same events. Each event is one row of four int64 columns
+    (kind, track id, frame id, ts_ms); a CrossingEvent is built only when read."""
+
+    _kinds = tuple(EventKind)  # a kind is stored as its index here
+
+    def __init__(self):
+        self._columns = tuple(array("q") for _ in range(4))
+
+    def append(self, event: CrossingEvent) -> None:
+        """Store the event's four integers; `tally` is the one writer."""
+        row = (self._kinds.index(event.kind), event.track_id, event.frame_id, event.timestamp_ms)
+        for column, value in zip(self._columns, row):
+            column.append(value)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        """One event for an int index, a list of events for a slice."""
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        kind, *rest = (column[index] for column in self._columns)
+        return CrossingEvent(self._kinds[kind], *rest)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+
 @dataclass
 class CountLedger:
     """Running entry/exit tallies with the full event log."""
 
     ins: int = 0
     outs: int = 0
-    events: list[CrossingEvent] = field(default_factory=list)
+    events: EventLog = field(default_factory=EventLog)
 
     def occupancy(self) -> int:
         """Entries minus exits; negative when monitoring began with people inside."""
@@ -153,11 +185,11 @@ class CountLedger:
 
 def tally(ledger: CountLedger, event: CrossingEvent) -> CountLedger:
     """Fold one crossing event into the ledger; returns the ledger."""
+    ledger.events.append(event)
     if event.kind is EventKind.ENTRY:
         ledger.ins += 1
     else:
         ledger.outs += 1
-    ledger.events.append(event)
     return ledger
 
 

@@ -203,7 +203,7 @@ class RunResult:
     track_ids_issued: int
 
     @property
-    def events(self) -> list[CrossingEvent]:
+    def events(self) -> Sequence[CrossingEvent]:
         return self.ledger.events
 
     def to_dict(self) -> dict:

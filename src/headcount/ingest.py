@@ -235,9 +235,13 @@ def check_order(
 
     `last` is the (frame_id, ts_ms) of the frame before, or None at the start.
     Returns the frame's own pair; raises StreamOrderError, naming the line when
-    given one, if the frame does not follow `last`.
+    given one, if the frame does not follow `last` or either value is not an
+    integer that the event log's int64 columns can hold.
     """
     frame_id, ts_ms = frame.frame_id, frame.timestamp_ms
+    for name, value in (("frame_id", frame_id), ("timestamp", ts_ms)):
+        if not (isinstance(value, (int, np.integer)) and -(2**63) <= value < 2**63):
+            raise StreamOrderError(f"{name} {value!r} is not an integer in the int64 range", line_number)
     if last is not None:
         if frame_id <= last[0]:
             raise StreamOrderError(f"frame_id {frame_id} does not increase past {last[0]}", line_number)

@@ -56,8 +56,8 @@ class TrackedObject:
 class DistanceMatrices:
     """Per-frame cost state: rows are registered tracks, columns detections.
 
-    Both matrices share one (m, n) shape, as `build_matrices` makes them, and
-    are rebuilt every frame; `associate` reads them and leaves them unchanged.
+    Both matrices share one (m, n) shape, as `build_matrices` makes them, and are
+    rebuilt every frame; `associate` refuses any other pair and leaves them unchanged.
     """
 
     feature: np.ndarray
@@ -85,12 +85,11 @@ def build_matrices(
     m, n = len(registered), len(centers)
     if m == 0 or n == 0:
         return DistanceMatrices(np.zeros((m, n)), np.zeros((m, n)))
-    feature = 1.0 - np.stack([t.unit for t in registered]) @ units.T
+    feature = 1.0 - np.array([t.unit for t in registered]) @ units.T
     np.clip(feature, 0.0, 2.0, out=feature)
-    track_centers = np.array([t.center for t in registered], dtype=float)
-    delta = track_centers[:, None, :] - centers[None, :, :]
-    spatial = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
-    return DistanceMatrices(feature, spatial)
+    track_x, track_y = np.array([t.center for t in registered], dtype=float).T
+    dx, dy = track_x[:, None] - centers[:, 0], track_y[:, None] - centers[:, 1]
+    return DistanceMatrices(feature, np.sqrt(dx * dx + dy * dy))
 
 
 def associate(matrices: DistanceMatrices, config: TrackerConfig) -> AssignmentResult:
@@ -106,6 +105,8 @@ def associate(matrices: DistanceMatrices, config: TrackerConfig) -> AssignmentRe
     matrices are left unchanged.
     """
     feature = matrices.feature
+    if feature.shape != matrices.spatial.shape:
+        raise ValueError(f"feature shape {feature.shape} and spatial shape {matrices.spatial.shape} differ")
     m, n = feature.shape
     limit = min(m, n)
     cells = np.flatnonzero(

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from headcount.counter import Orientation, RegionLayout, write_events
+from headcount.counter import CountLedger, CrossingEvent, EventKind, Orientation, RegionLayout, write_events
 from headcount.engine import (
     WARMUP_FRAMES,
     ConfigError,
@@ -283,6 +284,34 @@ class TestBench:
         run_frames(FrameRecord(i, 50 * i, empty) for i in range(100))
         assert peak_bytes(5000) - peak_bytes(1000) < 32 * 1024
 
+    def test_event_log_retains_few_bytes_per_event(self):
+        # Each event is four int64 values, 32 B plus the arrays' spare room.
+        def stream(actors):
+            noise = NoiseSpec(miss_probability=0.15)
+            spec = random_crossings(7, actors=actors, crossing_frames=30, stagger=2, noise=noise,
+                                    embedding_dim=DIM)
+            buf = io.StringIO()
+            write_stream(generate(spec)[0], buf)
+            return buf.getvalue()
+
+        def retained(text):
+            # a full collection also empties the interpreter's free lists
+            source = io.StringIO(text)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                result = run(source)
+                gc.collect()
+                return tracemalloc.get_traced_memory()[0], len(result.events)
+            finally:
+                tracemalloc.stop()
+
+        short, long = stream(20), stream(420)
+        retained(short)
+        (short_bytes, short_events), (long_bytes, long_events) = retained(short), retained(long)
+        assert long_events - short_events >= 350
+        assert (long_bytes - short_bytes) / (long_events - short_events) <= 48, (long_bytes, short_bytes)
+
     def test_run_and_bench_never_import_numpy_ma(self):
         # np.percentile imports numpy.ma lazily, about 2 MB of resident memory.
         code = (
@@ -439,6 +468,29 @@ class TestFrameGaps:
         assert engine.frames_processed == 1
         assert engine.tracker.ids_issued == issued
 
+    @pytest.mark.parametrize("late", [FrameRecord(2**63, 10_000), FrameRecord(-(2**63) - 1, 10_000),
+                                      FrameRecord(100, 2**63), FrameRecord(100, -(2**63) - 1),
+                                      FrameRecord(60.5, 10_000)])
+    def test_value_beyond_int64_is_refused_with_the_result(self, late):
+        # The event log stores frame ids and timestamps as int64 integers.
+        frames, _ = generate(make_scenario("crossing_pair", DIM))
+        clean = run_frames(frames)
+        with pytest.raises(StreamOrderError, match="is not an integer in the int64 range$") as info:
+            run_frames(frames + [late])
+        result = info.value.result
+        assert result.frames == len(frames)
+        assert result.ledger == clean.ledger
+        assert result.lighting_counts == clean.lighting_counts
+
+    def test_frame_beyond_int64_leaves_no_trace(self):
+        head = ("head", 0.95, (0.46, 0.06, 0.54, 0.14), [1.0, 0.0])
+        engine = Engine()
+        with pytest.raises(StreamOrderError):
+            engine.process_frame(FrameRecord(2**63, 0, Detections.from_rows([head]), LightingMode.DAY))
+        assert engine.lighting_counts == {"day": 0, "night": 0, "unknown": 0}
+        assert engine.frames_processed == 0
+        assert engine.tracker.objects == [] and engine.tracker.ids_issued == 0
+
     @pytest.mark.parametrize("frame_id", [4, 3])
     def test_frame_id_must_increase(self, frame_id):
         def frame(fid):
@@ -451,6 +503,30 @@ class TestFrameGaps:
         with pytest.raises(StreamOrderError, match=f"^frame_id {frame_id} does not increase past 4$"):
             engine.process_frame(frame(frame_id))
         assert [(t.id, t.last_seen) for t in engine.tracker.objects] == [(1, 4)]
+
+
+class TestEventLog:
+    def test_reads_back_the_events_the_engine_emitted(self):
+        frames, _ = generate(make_scenario("multi_3", DIM))
+        engine = Engine()
+        emitted = [event for frame in frames for event in engine.process_frame(frame)]
+        log = engine.ledger.events
+        assert len(log) == len(emitted) == 3 and log
+        assert [log[i] for i in range(-3, 3)] == emitted + emitted
+        with pytest.raises(IndexError):
+            log[3]
+        for cut in (slice(None, -1), slice(1, None), slice(None, None, -1), slice(5, 9)):
+            assert log[cut] == emitted[cut] and type(log[cut]) is list
+        assert list(log) == emitted and log == emitted and emitted == log and log == tuple(emitted)
+        assert log != emitted[:-1] and log != emitted[::-1]
+        assert all(event in log for event in emitted)
+        assert CrossingEvent(EventKind.ENTRY, 9, emitted[0].frame_id, emitted[0].timestamp_ms) not in log
+        assert not CountLedger().events and CountLedger().events == []
+
+    def test_run_result_hands_back_the_log_itself(self):
+        result = run_frames(generate(make_scenario("crossing_pair", DIM))[0])
+        assert result.events is result.ledger.events
+        assert [(e.kind, e.track_id) for e in result.events] == [(EventKind.ENTRY, 1), (EventKind.EXIT, 2)]
 
 
 class TestCausality:

@@ -12,6 +12,7 @@ from headcount.ingest import (
     EmbeddingDimensionError,
     FrameRecord,
     LightingMode,
+    StreamError,
     StreamOrderError,
     StreamParseError,
     classify_lighting,
@@ -294,6 +295,24 @@ class TestParseStream:
         src = stream_lines(frame_obj(0, 100), frame_obj(1, 50))
         with pytest.raises(StreamOrderError):
             list(parse_stream(src))
+
+    @pytest.mark.parametrize("field", ["frame_id", "ts_ms"])
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_value_beyond_int64_is_refused_naming_its_line(self, field, value):
+        # The event log stores frame ids and timestamps as int64.
+        beyond = {**frame_obj(1, 50), field: value}
+        src = stream_lines(frame_obj(0, 0), beyond)
+        name = "frame_id" if field == "frame_id" else "timestamp"
+        refusal = f"^line 2: {name} {value} is not an integer in the int64 range$"
+        with pytest.raises(StreamError, match=refusal) as err:
+            list(parse_stream(src))
+        assert err.value.line_number == 2
+
+    def test_int64_bounds_are_accepted(self):
+        src = stream_lines(frame_obj(-(2**63), -(2**63)), frame_obj(2**63 - 1, 2**63 - 1))
+        assert [(f.frame_id, f.timestamp_ms) for f in parse_stream(src)] == [
+            (-(2**63), -(2**63)), (2**63 - 1, 2**63 - 1)
+        ]
 
     def test_embedding_dimension_locked_from_first(self):
         src = stream_lines(

@@ -123,6 +123,24 @@ class TestBuildMatrices:
         with pytest.raises(ValueError):
             matrices_for([track(emb=(1.0, 0.0))], [detection(emb=(1.0, 0.0, 0.0))])
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 7), (7, 1), (3, 4), (17, 13), (25, 23)])
+    def test_bit_equal_to_the_stacked_formulas(self, m, n):
+        # The stacked unit rows and the (m, n, 2) delta with einsum, as the
+        # matrices were built before the x and y columns were split.
+        rng = np.random.default_rng(1000 * m + n)
+        for _ in range(20):
+            tracks = [track(tid=i, x=rng.uniform(0.05, 0.95), y=rng.uniform(0.05, 0.95),
+                            emb=rng.normal(size=16)) for i in range(m)]
+            units = rng.normal(size=(n, 16))
+            units /= np.linalg.norm(units, axis=1, keepdims=True)
+            centers = rng.uniform(0.0, 1.0, size=(n, 2))
+            feature = np.clip(1.0 - np.stack([t.unit for t in tracks]) @ units.T, 0.0, 2.0)
+            delta = np.array([t.center for t in tracks])[:, None, :] - centers[None, :, :]
+            spatial = np.sqrt(np.einsum("ijk,ijk->ij", delta, delta))
+            built = build_matrices(tracks, units, centers)
+            assert built.feature.tobytes() == feature.tobytes()
+            assert built.spatial.tobytes() == spatial.tobytes()
+
 
 def mats(feature, spatial=None):
     f = np.asarray(feature, dtype=float)
@@ -152,6 +170,12 @@ class TestAssociate:
         # 0.3+0.15 alternative here, but the point is the trace order.
         result = associate(mats([[0.3, 0.1], [0.2, 0.15]]), config(t=0.5, d=1.0))
         assert set(result.matches) == {(0, 1), (1, 0)}
+
+    def test_refuses_matrices_of_different_shapes(self):
+        # Broadcastable shapes must be refused, not matched as if they agreed.
+        pair = DistanceMatrices(np.zeros((2, 3)), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match=r"feature shape \(2, 3\) and spatial shape \(1, 3\) differ"):
+            associate(pair, config())
 
     def test_empty_matrices(self):
         result = associate(mats(np.zeros((0, 0))), config())
