@@ -27,7 +27,7 @@ from .counter import (
     tally,
     update_history,
 )
-from .ingest import FrameRecord, StreamError, check_order, filter_heads, parse_stream
+from .ingest import FrameRecord, StreamError, StreamState, check_frame, filter_heads, parse_stream
 from .simulator import GroundTruth, ScenarioSpec, evaluate, generate
 from .tracker import Tracker, TrackerConfig
 
@@ -172,12 +172,12 @@ class Engine:
         self.ledger = CountLedger()
         self.lighting_counts = {"day": 0, "night": 0, "unknown": 0}
         self.frames_processed = 0
-        self._last: Optional[tuple[int, int]] = None  # (frame_id, ts_ms) of the last frame
+        self._last: StreamState = (None, None, self.config.embedding_dim)
 
     def process_frame(self, frame: FrameRecord) -> list[CrossingEvent]:
         """Run one frame through filter -> track -> count; returns new events.
-        A frame out of order (`check_order`) is refused before any state changes."""
-        self._last = check_order(frame, self._last)
+        A frame that breaks the stream rule (`check_frame`) is refused before any state changes."""
+        self._last = check_frame(frame, self._last)
         mode = frame.lighting
         self.lighting_counts[mode.value if mode is not None else "unknown"] += 1
         kept = filter_heads(frame, self.config.min_confidence)

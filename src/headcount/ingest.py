@@ -67,12 +67,12 @@ class StreamParseError(StreamError):
 
 
 class StreamOrderError(StreamError):
-    """A frame breaks the frame-order rule of `check_order`: `parse_stream`
+    """A frame breaks the frame-order part of `check_frame`: `parse_stream`
     names its line, and `Engine.process_frame` refuses it before any state changes."""
 
 
 class EmbeddingDimensionError(StreamError):
-    """All embeddings in one stream must share a single dimension."""
+    """All embeddings in one stream must share a single dimension (`check_frame`)."""
 
 
 def validate_embedding(block: np.ndarray) -> None:
@@ -165,12 +165,20 @@ class Detections:
 
 @dataclass
 class FrameRecord:
-    """All detections of one captured frame, plus optional lighting metadata."""
+    """All detections of one captured frame, plus optional lighting metadata:
+    a LightingMode or its wire name, stored as the mode."""
 
     frame_id: int
     timestamp_ms: int
     detections: Detections = field(default_factory=Detections.from_rows)
     lighting: Optional[LightingMode] = None
+
+    def __post_init__(self):
+        if self.lighting is not None:
+            try:
+                self.lighting = LightingMode(self.lighting)
+            except ValueError:
+                raise ValueError(f"lighting must be 'day' or 'night', got {self.lighting!r}") from None
 
 
 def classify_lighting(
@@ -228,39 +236,39 @@ def filter_heads(frame: FrameRecord, min_confidence: float) -> np.ndarray:
     return np.array(kept, dtype=np.intp)
 
 
-def check_order(
-    frame: FrameRecord, last: Optional[tuple[int, int]], line_number: Optional[int] = None
-) -> tuple[int, int]:
-    """The frame-order rule: frame ids strictly increase and `ts_ms` never goes back.
+StreamState = tuple[Optional[int], Optional[int], Optional[int]]
 
-    `last` is the (frame_id, ts_ms) of the frame before, or None at the start.
-    Returns the frame's own pair; raises StreamOrderError, naming the line when
-    given one, if the frame does not follow `last` or either value is not an
-    integer that the event log's int64 columns can hold.
+
+def check_frame(frame: FrameRecord, last: StreamState, line_number: Optional[int] = None) -> StreamState:
+    """The stream rule, what a frame owes the frames before it: ids strictly
+    increase, `ts_ms` never goes back, both are integers (not bools) that the
+    event log's int64 columns hold, and every embedding has the stream's dimension.
+
+    `last` is the stream's (frame_id, ts_ms, dim): ids None before the first
+    frame, dim None until `embedding_dim` seeds it or the first embedding locks
+    it. Returns the state after the frame; raises StreamOrderError or
+    EmbeddingDimensionError, naming the line when given one.
     """
     frame_id, ts_ms = frame.frame_id, frame.timestamp_ms
     for name, value in (("frame_id", frame_id), ("timestamp", ts_ms)):
-        if not (isinstance(value, (int, np.integer)) and -(2**63) <= value < 2**63):
+        if not (is_number_type(type(value)) and isinstance(value, (int, np.integer))
+                and -(2**63) <= value < 2**63):
             raise StreamOrderError(f"{name} {value!r} is not an integer in the int64 range", line_number)
-    if last is not None:
-        if frame_id <= last[0]:
-            raise StreamOrderError(f"frame_id {frame_id} does not increase past {last[0]}", line_number)
-        if ts_ms < last[1]:
-            raise StreamOrderError(f"timestamp {ts_ms} goes backward past {last[1]}", line_number)
-    return frame_id, ts_ms
+    last_id, last_ts, dim = last
+    if last_id is not None:
+        if frame_id <= last_id:
+            raise StreamOrderError(f"frame_id {frame_id} does not increase past {last_id}", line_number)
+        if ts_ms < last_ts:
+            raise StreamOrderError(f"timestamp {ts_ms} goes backward past {last_ts}", line_number)
+    width = frame.detections.embeddings.shape[1]  # 0 when the frame has no embedding
+    if width and dim is not None and width != dim:
+        raise EmbeddingDimensionError(f"embedding length {width} != stream dimension {dim}", line_number)
+    return frame_id, ts_ms, dim or width or None
 
 
 def _frame_from_obj(obj, line_number: int) -> FrameRecord:
     if not isinstance(obj, dict):
         raise StreamParseError("frame record must be a JSON object", line_number)
-    lighting = None
-    if obj.get("lighting") is not None:
-        try:
-            lighting = LightingMode(obj["lighting"])
-        except ValueError:
-            raise StreamParseError(
-                f"lighting must be 'day' or 'night', got {obj['lighting']!r}", line_number
-            ) from None
     raw_dets = obj.get("detections", [])
     if not isinstance(raw_dets, list):
         raise StreamParseError("detections must be an array", line_number)
@@ -276,12 +284,11 @@ def _frame_from_obj(obj, line_number: int) -> FrameRecord:
             f"frame_id and ts_ms must be JSON integers, got {frame_id!r} and {ts_ms!r}", line_number
         )
     try:
-        detections = Detections.from_rows(rows)
+        return FrameRecord(frame_id, ts_ms, Detections.from_rows(rows), obj.get("lighting"))
     except EmbeddingDimensionError as exc:
         raise EmbeddingDimensionError(str(exc), line_number) from None
     except (TypeError, ValueError, OverflowError) as exc:  # overflow: an integer beyond float range
         raise StreamParseError(str(exc), line_number) from None
-    return FrameRecord(frame_id=frame_id, timestamp_ms=ts_ms, detections=detections, lighting=lighting)
 
 
 def parse_stream(
@@ -291,12 +298,10 @@ def parse_stream(
     """Yield FrameRecords from a line-delimited stream, validating as it goes.
 
     `source` may be a file object (text or binary) or any iterable of lines.
-    The embedding dimension is locked to `embedding_dim` when given, otherwise
-    to the first embedding seen; any later mismatch is a stream error. The
-    frames must follow the frame-order rule of `check_order`.
+    The frames must follow the stream rule of `check_frame`, its dimension
+    seeded from `embedding_dim` when given.
     """
-    expected_dim = embedding_dim
-    last = None
+    last: StreamState = (None, None, embedding_dim)
     for line_number, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             try:
@@ -311,14 +316,7 @@ def parse_stream(
         except json.JSONDecodeError as exc:
             raise StreamParseError(f"invalid JSON: {exc}", line_number) from None
         frame = _frame_from_obj(obj, line_number)
-        last = check_order(frame, last, line_number)
-        dim = frame.detections.embeddings.shape[1]
-        if dim and expected_dim is None:
-            expected_dim = dim
-        elif dim and dim != expected_dim:
-            raise EmbeddingDimensionError(
-                f"embedding length {dim} != stream dimension {expected_dim}", line_number
-            )
+        last = check_frame(frame, last, line_number)
         yield frame
 
 

@@ -162,7 +162,8 @@ class Tracker:
         `embeddings` (n, d) and `centers` (n, 2) hold the frame's head-filtered
         detections; the embeddings are scaled to unit rows once, as one block.
         Precondition, not checked here: frame_id exceeds the previous step's
-        (the engine refuses any other frame first, by `ingest.check_order`).
+        and the rows keep one dimension d across steps (the engine refuses
+        any other frame first, by `ingest.check_frame`).
         Ids may skip: tracks unseen for more than the miss limit by
         frame_id - 1 are evicted before association, so a gap in the ids ends
         them as empty frames would.

@@ -30,6 +30,7 @@ from headcount.ingest import (
     EmbeddingDimensionError,
     FrameRecord,
     LightingMode,
+    StreamError,
     StreamOrderError,
     write_stream,
 )
@@ -503,6 +504,83 @@ class TestFrameGaps:
         with pytest.raises(StreamOrderError, match=f"^frame_id {frame_id} does not increase past 4$"):
             engine.process_frame(frame(frame_id))
         assert [(t.id, t.last_seen) for t in engine.tracker.objects] == [(1, 4)]
+
+
+def one_head(frame_id, ts_ms, dim):
+    head = ("head", 0.95, (0.46, 0.46, 0.54, 0.54), [1.0] * dim)
+    return FrameRecord(frame_id, ts_ms, Detections.from_rows([head]), LightingMode.NIGHT)
+
+
+def stream_rule_cases():
+    """Each break of `check_frame`: (counted prefix, config, refused frame, error class)."""
+    frames, _ = generate(make_scenario("crossing_pair", DIM))
+    last_id, last_ts = frames[-1].frame_id, frames[-1].timestamp_ms
+    gone = last_id + TrackerConfig().miss_limit + 2  # every track is evicted before this frame
+    blank = [FrameRecord(i, 50 * i) for i in range(3)]
+    wrong_dim = EmbeddingDimensionError
+    return {
+        "repeated_id": (frames, None, one_head(last_id, last_ts + 50, DIM), StreamOrderError),
+        "ts_backward": (frames, None, one_head(last_id + 1, last_ts - 1, DIM), StreamOrderError),
+        "id_2**63": (frames, None, one_head(2**63, last_ts + 50, DIM), StreamOrderError),
+        "dim_of_frame_0": (frames, None, one_head(last_id + 1, last_ts + 50, DIM + 1), wrong_dim),
+        "dim_of_config": (blank, EngineConfig(embedding_dim=8), one_head(3, 150, DIM), wrong_dim),
+        "dim_after_eviction": (frames, None, one_head(gone, last_ts + 1000, DIM + 1), wrong_dim),
+    }
+
+
+def run_summary(result):
+    return (result.ledger.snapshot(), result.frames, result.lighting_counts, result.track_ids_issued)
+
+
+class TestStreamRule:
+    """`run` and `run_frames` refuse the same frames, as the same StreamError
+    class, with the counted frames' result, and a refused frame leaves no trace."""
+
+    @pytest.mark.parametrize("case", list(stream_rule_cases()))
+    def test_run_names_the_line_and_keeps_the_counted_frames_result(self, case):
+        prefix, config, bad, error = stream_rule_cases()[case]
+        buf = io.StringIO()
+        write_stream(prefix + [bad], buf)
+        buf.seek(0)
+        with pytest.raises(StreamError) as info:
+            run(buf, config)
+        assert type(info.value) is error
+        assert info.value.line_number == len(prefix) + 1
+        assert str(info.value).startswith(f"line {len(prefix) + 1}: ")
+        assert run_summary(info.value.result) == run_summary(run_frames(prefix, config))
+
+    @pytest.mark.parametrize("case", list(stream_rule_cases()))
+    def test_run_frames_raises_the_same_class_with_the_counted_frames_result(self, case):
+        prefix, config, bad, error = stream_rule_cases()[case]
+        with pytest.raises(StreamError) as info:
+            run_frames(prefix + [bad], config)
+        assert type(info.value) is error
+        assert info.value.line_number is None
+        assert run_summary(info.value.result) == run_summary(run_frames(prefix, config))
+
+    @pytest.mark.parametrize("case", list(stream_rule_cases()))
+    def test_refused_frame_leaves_no_trace(self, case):
+        prefix, config, bad, error = stream_rule_cases()[case]
+        engine = Engine(config)
+        for frame in prefix:
+            engine.process_frame(frame)
+
+        def state():
+            tracks = [(t.id, t.last_seen, t.center) for t in engine.tracker.objects]
+            return (engine.ledger.snapshot(), engine.frames_processed, dict(engine.lighting_counts),
+                    engine.tracker.ids_issued, tracks)
+
+        before = state()
+        with pytest.raises(error):
+            engine.process_frame(bad)
+        assert state() == before
+
+    @pytest.mark.parametrize("frame", [FrameRecord(True, 0), FrameRecord(0, True), FrameRecord(np.True_, 0)])
+    def test_bool_frame_id_or_timestamp_is_refused(self, frame):
+        # The parser refuses a JSON `true`; the engine refuses a bool as well.
+        with pytest.raises(StreamOrderError, match="is not an integer in the int64 range$") as info:
+            run_frames([frame])
+        assert info.value.result.frames == 0
 
 
 class TestEventLog:

@@ -23,6 +23,7 @@ from headcount.ingest import (
     validate_embedding,
     write_stream,
 )
+from headcount.engine import run_frames
 
 
 def head(conf=0.95, box=(0.4, 0.4, 0.5, 0.5), emb=(1.0, 0.0)):
@@ -404,6 +405,25 @@ class TestParseStream:
     def test_blank_lines_skipped(self):
         src = io.StringIO("\n" + json.dumps(frame_obj()) + "\n\n")
         assert len(list(parse_stream(src))) == 1
+
+
+class TestFrameRecordLighting:
+    def test_wire_name_is_stored_as_the_mode_and_tallied(self):
+        frame = FrameRecord(0, 0, lighting="night")
+        assert frame.lighting is LightingMode.NIGHT
+        assert run_frames([frame]).lighting_counts == {"day": 0, "night": 1, "unknown": 0}
+
+    @pytest.mark.parametrize("value", ["dusk", "NIGHT", True, ["day"]])
+    def test_unknown_lighting_is_a_value_error_naming_the_field(self, value):
+        with pytest.raises(ValueError, match=r"^lighting must be 'day' or 'night', got "):
+            FrameRecord(0, 0, lighting=value)
+
+    def test_parser_reports_unknown_lighting_on_its_line(self):
+        src = stream_lines(frame_obj(0, 0), frame_obj(1, 50, lighting="dusk"))
+        refusal = "^line 2: lighting must be 'day' or 'night', got 'dusk'$"
+        with pytest.raises(StreamParseError, match=refusal) as err:
+            list(parse_stream(src))
+        assert err.value.line_number == 2
 
 
 # zero-norm embeddings are invalid input, rejected by validate_embedding
