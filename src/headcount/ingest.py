@@ -67,8 +67,8 @@ class StreamParseError(StreamError):
 
 
 class StreamOrderError(StreamError):
-    """A frame breaks the frame-order part of `check_frame`: `parse_stream`
-    names its line, and `Engine.process_frame` refuses it before any state changes."""
+    """A frame's id or timestamp breaks `check_frame` (not an int64 integer, or out of order):
+    `parse_stream` names its line, and `Engine.process_frame` refuses it before any state changes."""
 
 
 class EmbeddingDimensionError(StreamError):
@@ -163,10 +163,10 @@ class Detections:
         return (self.boxes[:, :2] + self.boxes[:, 2:]) / 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameRecord:
-    """All detections of one captured frame, plus optional lighting metadata:
-    a LightingMode or its wire name, stored as the mode."""
+    """One captured frame's detections and optional lighting, a LightingMode or its wire
+    name stored as the mode. Frozen: `dataclasses.replace` builds a changed frame and checks it."""
 
     frame_id: int
     timestamp_ms: int
@@ -176,7 +176,7 @@ class FrameRecord:
     def __post_init__(self):
         if self.lighting is not None:
             try:
-                self.lighting = LightingMode(self.lighting)
+                object.__setattr__(self, "lighting", LightingMode(self.lighting))
             except ValueError:
                 raise ValueError(f"lighting must be 'day' or 'night', got {self.lighting!r}") from None
 
@@ -240,9 +240,9 @@ StreamState = tuple[Optional[int], Optional[int], Optional[int]]
 
 
 def check_frame(frame: FrameRecord, last: StreamState, line_number: Optional[int] = None) -> StreamState:
-    """The stream rule, what a frame owes the frames before it: ids strictly
-    increase, `ts_ms` never goes back, both are integers (not bools) that the
-    event log's int64 columns hold, and every embedding has the stream's dimension.
+    """The stream rule, and its only statement: ids strictly increase, `ts_ms` never
+    goes back, both are integers (not bools) that the event log's int64 columns
+    hold, and every embedding has the stream's dimension.
 
     `last` is the stream's (frame_id, ts_ms, dim): ids None before the first
     frame, dim None until `embedding_dim` seeds it or the first embedding locks
@@ -279,10 +279,6 @@ def _frame_from_obj(obj, line_number: int) -> FrameRecord:
         raise StreamParseError(f"missing field {exc}", line_number) from None
     except TypeError:  # indexing a detection that is not an object
         raise StreamParseError("detection entries must be objects", line_number) from None
-    if type(frame_id) is not int or type(ts_ms) is not int:
-        raise StreamParseError(
-            f"frame_id and ts_ms must be JSON integers, got {frame_id!r} and {ts_ms!r}", line_number
-        )
     try:
         return FrameRecord(frame_id, ts_ms, Detections.from_rows(rows), obj.get("lighting"))
     except EmbeddingDimensionError as exc:

@@ -7,7 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +43,7 @@ DIM = 16
 def stream_for(name, dim=DIM, lighting=None):
     frames, truth = generate(make_scenario(name, dim))
     if lighting is not None:
-        for f in frames:
-            f.lighting = lighting
+        frames = [replace(f, lighting=lighting) for f in frames]
     buf = io.StringIO()
     write_stream(frames, buf)
     buf.seek(0)
@@ -522,6 +521,10 @@ def stream_rule_cases():
         "repeated_id": (frames, None, one_head(last_id, last_ts + 50, DIM), StreamOrderError),
         "ts_backward": (frames, None, one_head(last_id + 1, last_ts - 1, DIM), StreamOrderError),
         "id_2**63": (frames, None, one_head(2**63, last_ts + 50, DIM), StreamOrderError),
+        "id_true": (frames, None, one_head(True, last_ts + 50, DIM), StreamOrderError),
+        "id_1.5": (frames, None, one_head(1.5, last_ts + 50, DIM), StreamOrderError),
+        "id_str_7": (frames, None, one_head("7", last_ts + 50, DIM), StreamOrderError),
+        "ts_50.5": (frames, None, one_head(last_id + 1, last_ts + 50.5, DIM), StreamOrderError),
         "dim_of_frame_0": (frames, None, one_head(last_id + 1, last_ts + 50, DIM + 1), wrong_dim),
         "dim_of_config": (blank, EngineConfig(embedding_dim=8), one_head(3, 150, DIM), wrong_dim),
         "dim_after_eviction": (frames, None, one_head(gone, last_ts + 1000, DIM + 1), wrong_dim),
@@ -577,7 +580,7 @@ class TestStreamRule:
 
     @pytest.mark.parametrize("frame", [FrameRecord(True, 0), FrameRecord(0, True), FrameRecord(np.True_, 0)])
     def test_bool_frame_id_or_timestamp_is_refused(self, frame):
-        # The parser refuses a JSON `true`; the engine refuses a bool as well.
+        # The same rule refuses a JSON `true` at the parser (the table's `id_true` row).
         with pytest.raises(StreamOrderError, match="is not an integer in the int64 range$") as info:
             run_frames([frame])
         assert info.value.result.frames == 0

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from headcount.ingest import (
     write_stream,
 )
 from headcount.engine import run_frames
+from headcount.simulator import generate, make_scenario
 
 
 def head(conf=0.95, box=(0.4, 0.4, 0.5, 0.5), emb=(1.0, 0.0)):
@@ -263,6 +265,24 @@ def det_obj(cls="head", conf=0.9, box=(0.4, 0.4, 0.5, 0.5), emb=(1.0, 0.0)):
     return d
 
 
+NOT_COERCED = [
+    # ids and timestamps follow check_frame, the rule the engine applies too
+    ("frame_id", 1.5, StreamOrderError),
+    ("frame_id", True, StreamOrderError),
+    ("frame_id", "7", StreamOrderError),
+    ("ts_ms", 50.0, StreamOrderError),
+    ("conf", True, StreamParseError),
+    ("conf", "0.9", StreamParseError),
+    ("box", [0.4, 0.4, True, 0.5], StreamParseError),
+    ("box", ["0.4", 0.4, 0.5, 0.5], StreamParseError),
+    ("emb", ["1.5", 0.5], StreamParseError),
+    ("emb", ["1.5", True, 0], StreamParseError),
+    ("emb", [True, 0.5], StreamParseError),
+    ("emb", [0.5, False], StreamParseError),
+    ("emb", [True, False], StreamParseError),
+]
+
+
 class TestParseStream:
     def test_happy_path(self):
         src = stream_lines(
@@ -344,31 +364,20 @@ class TestParseStream:
         assert err.value.line_number == 3
 
     @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("frame_id", 1.5),
-            ("frame_id", True),
-            ("frame_id", "7"),
-            ("ts_ms", 50.0),
-            ("conf", True),
-            ("conf", "0.9"),
-            ("box", [0.4, 0.4, True, 0.5]),
-            ("box", ["0.4", 0.4, 0.5, 0.5]),
-            ("emb", ["1.5", 0.5]),
-            ("emb", ["1.5", True, 0]),
-            ("emb", [True, 0.5]),
-            ("emb", [0.5, False]),
-            ("emb", [True, False]),
-        ],
+        "field, value, error",
+        NOT_COERCED,
+        # an id leaves the error out: field-value, or field-value<row> for a list
+        ids=[f"{f}-{f'value{i}' if isinstance(v, list) else v}" for i, (f, v, _) in enumerate(NOT_COERCED)],
     )
-    def test_numbers_are_not_coerced(self, field, value):
+    def test_numbers_are_not_coerced(self, field, value, error):
         bad = frame_obj(1, 50, [det_obj(cls="chair", emb=None), det_obj()])
         if field in ("conf", "box", "emb"):
             bad["detections"][1][field] = value
         else:
             bad[field] = value
-        with pytest.raises(StreamParseError) as err:
+        with pytest.raises(StreamError) as err:
             list(parse_stream(stream_lines(frame_obj(0, 0), bad)))
+        assert type(err.value) is error
         assert err.value.line_number == 2
 
     def test_embedding_dimension_configured(self):
@@ -424,6 +433,33 @@ class TestFrameRecordLighting:
         with pytest.raises(StreamParseError, match=refusal) as err:
             list(parse_stream(src))
         assert err.value.line_number == 2
+
+
+class TestFrozenFrameRecord:
+    @staticmethod
+    def parsed_frames():
+        buf = io.StringIO()
+        write_stream(generate(make_scenario("crossing_pair", 8))[0], buf)
+        return list(parse_stream(buf.getvalue().splitlines()))
+
+    @pytest.mark.parametrize(
+        "name, value", [("lighting", "day"), ("frame_id", 0), ("detections", Detections.from_rows())]
+    )
+    def test_a_parsed_frame_cannot_change(self, name, value):
+        frames = self.parsed_frames()
+        for frame in frames:
+            with pytest.raises(FrozenInstanceError):
+                setattr(frame, name, value)
+        result, untouched = run_frames(frames), run_frames(self.parsed_frames())
+        assert list(result.events) == list(untouched.events) and len(result.events) == 2
+        assert (result.frames, result.lighting_counts) == (untouched.frames, untouched.lighting_counts)
+
+    def test_replace_checks_and_stores_the_lighting(self):
+        frame = replace(self.parsed_frames()[0], lighting="night")
+        assert frame.lighting is LightingMode.NIGHT
+        assert run_frames([frame]).lighting_counts == {"day": 0, "night": 1, "unknown": 0}
+        with pytest.raises(ValueError, match=r"^lighting must be 'day' or 'night', got 'dusk'$"):
+            replace(frame, lighting="dusk")
 
 
 # zero-norm embeddings are invalid input, rejected by validate_embedding
