@@ -30,6 +30,10 @@ def is_number_type(kind: type) -> bool:
     return kind is float or kind is int or (issubclass(kind, numbers.Real) and kind is not bool)
 
 
+def is_count(value) -> bool:
+    return type(value) is int or (is_number_type(type(value)) and isinstance(value, numbers.Integral))
+
+
 def is_number_row(row) -> bool:
     """A list or tuple whose values are all numbers, checked by their types
     whatever the values are, or a 1-D int or float ndarray."""
@@ -43,7 +47,7 @@ def check_numbers(obj, names: tuple = (), counts: tuple = ()) -> None:
     number fields `names` or count fields `counts` that breaks the rule."""
     for name in names + counts:
         value, count = getattr(obj, name), name in counts
-        if not is_number_type(type(value)) or (count and not isinstance(value, numbers.Integral)):
+        if not (is_count(value) if count else is_number_type(type(value))):
             raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
 
 

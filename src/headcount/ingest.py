@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .counter import is_number_row, is_number_type, write_lines
+from .counter import is_count, is_number_row, is_number_type, write_lines
 
 DEFAULT_EMBEDDING_DIM = 1024
 
@@ -50,8 +50,8 @@ class LightingMode(Enum):
 
 
 class StreamError(Exception):
-    """Base for detection-stream violations; carries the offending line and,
-    when `headcount.run` raises it, the RunResult of the frames before it as `result`."""
+    """Base for detection-stream violations: `parse_stream`, and only it, sets the offending
+    `line_number`; `headcount.run` sets `result`, the RunResult of the frames before it."""
 
     result = None
 
@@ -67,7 +67,7 @@ class StreamParseError(StreamError):
 
 
 class StreamOrderError(StreamError):
-    """A frame's id or timestamp breaks `check_frame` (not an int64 integer, or out of order):
+    """A frame's `frame_id` or `ts_ms` breaks `check_frame` (not an int64 integer, or out of order):
     `parse_stream` names its line, and `Engine.process_frame` refuses it before any state changes."""
 
 
@@ -94,7 +94,7 @@ def _embedding_block(rows: list) -> np.ndarray:
         return np.array(rows, dtype=float)
     except ValueError:  # ragged rows
         lengths = sorted(set(map(len, rows)))
-        raise EmbeddingDimensionError(f"emb lengths {lengths} differ within one frame") from None
+        raise EmbeddingDimensionError(f"emb lengths {reprlib.repr(lengths)} differ within one frame") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +149,9 @@ class Detections:
         embeddings[has_embedding] = block
         try:
             labels = tuple(map(_CLASSES.__getitem__, classes))
-        except (KeyError, TypeError) as exc:  # TypeError: an unhashable class, e.g. a JSON array
+        except KeyError as exc:
+            raise ValueError(f"unknown detection class: {reprlib.repr(exc.args[0])}") from None
+        except TypeError as exc:  # an unhashable class, e.g. a JSON array
             raise ValueError(f"unknown detection class: {exc}") from None
         return cls(labels, np.array(confs, dtype=float), np.array(boxes, dtype=float).reshape(n, 4),
                    embeddings, has_embedding)
@@ -178,7 +180,7 @@ class FrameRecord:
             try:
                 object.__setattr__(self, "lighting", LightingMode(self.lighting))
             except ValueError:
-                raise ValueError(f"lighting must be 'day' or 'night', got {self.lighting!r}") from None
+                raise ValueError(f"lighting must be 'day' or 'night', got {reprlib.repr(self.lighting)}") from None
 
 
 def classify_lighting(
@@ -239,7 +241,7 @@ def filter_heads(frame: FrameRecord, min_confidence: float) -> np.ndarray:
 StreamState = tuple[Optional[int], Optional[int], Optional[int]]
 
 
-def check_frame(frame: FrameRecord, last: StreamState, line_number: Optional[int] = None) -> StreamState:
+def check_frame(frame: FrameRecord, last: StreamState) -> StreamState:
     """The stream rule, and its only statement: ids strictly increase, `ts_ms` never
     goes back, both are integers (not bools) that the event log's int64 columns
     hold, and every embedding has the stream's dimension.
@@ -247,44 +249,41 @@ def check_frame(frame: FrameRecord, last: StreamState, line_number: Optional[int
     `last` is the stream's (frame_id, ts_ms, dim): ids None before the first
     frame, dim None until `embedding_dim` seeds it or the first embedding locks
     it. Returns the state after the frame; raises StreamOrderError or
-    EmbeddingDimensionError, naming the line when given one.
+    EmbeddingDimensionError without a line number (`parse_stream` adds the line).
     """
     frame_id, ts_ms = frame.frame_id, frame.timestamp_ms
-    for name, value in (("frame_id", frame_id), ("timestamp", ts_ms)):
-        if not (is_number_type(type(value)) and isinstance(value, (int, np.integer))
-                and -(2**63) <= value < 2**63):
-            raise StreamOrderError(f"{name} {value!r} is not an integer in the int64 range", line_number)
+    for name, value in (("frame_id", frame_id), ("ts_ms", ts_ms)):
+        if not (is_count(value) and -(2**63) <= value < 2**63):
+            raise StreamOrderError(f"{name} {reprlib.repr(value)} is not an integer in the int64 range")
     last_id, last_ts, dim = last
     if last_id is not None:
         if frame_id <= last_id:
-            raise StreamOrderError(f"frame_id {frame_id} does not increase past {last_id}", line_number)
+            raise StreamOrderError(f"frame_id {frame_id} does not increase past {last_id}")
         if ts_ms < last_ts:
-            raise StreamOrderError(f"timestamp {ts_ms} goes backward past {last_ts}", line_number)
+            raise StreamOrderError(f"ts_ms {ts_ms} goes backward past {last_ts}")
     width = frame.detections.embeddings.shape[1]  # 0 when the frame has no embedding
     if width and dim is not None and width != dim:
-        raise EmbeddingDimensionError(f"embedding length {width} != stream dimension {dim}", line_number)
+        raise EmbeddingDimensionError(f"embedding length {width} != stream dimension {dim}")
     return frame_id, ts_ms, dim or width or None
 
 
-def _frame_from_obj(obj, line_number: int) -> FrameRecord:
+def _frame_from_obj(obj) -> FrameRecord:
     if not isinstance(obj, dict):
-        raise StreamParseError("frame record must be a JSON object", line_number)
+        raise StreamParseError("frame record must be a JSON object")
     raw_dets = obj.get("detections", [])
     if not isinstance(raw_dets, list):
-        raise StreamParseError("detections must be an array", line_number)
+        raise StreamParseError("detections must be an array")
     try:
         frame_id, ts_ms = obj["frame_id"], obj["ts_ms"]
         rows = [(det["class"], det["conf"], det["box"], det.get("emb")) for det in raw_dets]
     except KeyError as exc:
-        raise StreamParseError(f"missing field {exc}", line_number) from None
+        raise StreamParseError(f"missing field {exc}") from None
     except TypeError:  # indexing a detection that is not an object
-        raise StreamParseError("detection entries must be objects", line_number) from None
+        raise StreamParseError("detection entries must be objects") from None
     try:
         return FrameRecord(frame_id, ts_ms, Detections.from_rows(rows), obj.get("lighting"))
-    except EmbeddingDimensionError as exc:
-        raise EmbeddingDimensionError(str(exc), line_number) from None
     except (TypeError, ValueError, OverflowError) as exc:  # overflow: an integer beyond float range
-        raise StreamParseError(str(exc), line_number) from None
+        raise StreamParseError(str(exc)) from None
 
 
 def parse_stream(
@@ -295,24 +294,22 @@ def parse_stream(
 
     `source` may be a file object (text or binary) or any iterable of lines.
     The frames must follow the stream rule of `check_frame`, its dimension
-    seeded from `embedding_dim` when given.
+    seeded from `embedding_dim` when given. Every StreamError names its line.
     """
     last: StreamState = (None, None, embedding_dim)
     for line_number, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            try:
-                raw = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise StreamParseError(f"invalid UTF-8: {exc}", line_number) from None
-        line = raw.strip()
-        if not line:
-            continue
         try:
-            obj = json.loads(line)
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+            if not line:
+                continue
+            frame = _frame_from_obj(json.loads(line))
+            last = check_frame(frame, last)
+        except UnicodeDecodeError as exc:
+            raise StreamParseError(f"invalid UTF-8: {exc}", line_number) from None
         except json.JSONDecodeError as exc:
             raise StreamParseError(f"invalid JSON: {exc}", line_number) from None
-        frame = _frame_from_obj(obj, line_number)
-        last = check_frame(frame, last, line_number)
+        except StreamError as exc:
+            raise type(exc)(str(exc), line_number) from None
         yield frame
 
 

@@ -10,7 +10,6 @@ deterministic for a fixed scenario, so streams replay byte-identically.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -26,6 +25,7 @@ from .counter import (
     RegionLayout,
     accuracy,
     check_numbers,
+    is_count,
     is_number_type,
     write_lines,
 )
@@ -81,7 +81,7 @@ class ActorSpec:
         if not self.path:
             raise ValueError(f"actor {self.actor_id}: path needs at least one waypoint")
         for f, x, y in self.path:
-            if not isinstance(f, numbers.Integral) or not all(map(is_number_type, map(type, (f, x, y)))):
+            if not is_count(f) or not all(map(is_number_type, map(type, (x, y)))):
                 raise ValueError(
                     f"actor {self.actor_id}: waypoint ({f!r}, {x!r}, {y!r}) must be an integer "
                     "frame and two numbers"
@@ -306,8 +306,6 @@ def _multi_3(dim: int) -> ScenarioSpec:
 
 
 def _dropout(k: int, dim: int) -> ScenarioSpec:
-    if k < 1:
-        raise ValueError("dropout gap must be at least 1 frame")
     # The gap sits mid-crossing, inside the buffer region for small k.
     actor = ActorSpec(
         1,
@@ -335,8 +333,8 @@ def catalog_names() -> list[str]:
 
 def make_scenario(name: str, embedding_dim: int = DEFAULT_EMBEDDING_DIM) -> ScenarioSpec:
     """Build one canned scenario by name; dropout_<k> takes the gap length."""
-    if embedding_dim < 1:
-        raise ValueError("embedding_dim must be positive")
+    if not is_count(embedding_dim) or embedding_dim < 1:
+        raise ValueError(f"embedding_dim must be a positive integer, got {embedding_dim!r}")
     if name.startswith("dropout_"):
         suffix = name[len("dropout_") :]
         if not suffix.isdigit() or int(suffix) < 1:

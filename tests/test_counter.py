@@ -2,6 +2,7 @@ import io
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from headcount.counter import (
     accuracy,
     classify_region,
     event_to_json,
+    is_count,
     tally,
     update_history,
     write_events,
@@ -42,6 +44,15 @@ def feed(labels, track=None):
         if ev is not None:
             events.append(ev)
     return events, track
+
+
+@pytest.mark.parametrize(
+    "value, counted",
+    [(3, True), (-(2**70), True), (np.int64(3), True), (np.uint8(3), True), (True, False), (np.True_, False),
+     (3.0, False), (np.float64(3.0), False), ("3", False), (None, False)],
+)
+def test_a_count_is_an_integer_that_is_not_a_bool(value, counted):
+    assert is_count(value) is counted
 
 
 class TestRegionLayout:

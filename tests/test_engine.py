@@ -451,7 +451,7 @@ class TestFrameGaps:
         frames, _ = generate(make_scenario("crossing_pair", DIM))
         last_ts = frames[-1].timestamp_ms
         late = FrameRecord(frames[-1].frame_id + 1, last_ts - 1)
-        refusal = f"^timestamp {last_ts - 1} goes backward past {last_ts}$"
+        refusal = f"^ts_ms {last_ts - 1} goes backward past {last_ts}$"
         with pytest.raises(StreamOrderError, match=refusal) as info:
             run_frames(frames + [late])
         assert info.value.result.frames == len(frames)

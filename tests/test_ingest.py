@@ -24,7 +24,7 @@ from headcount.ingest import (
     validate_embedding,
     write_stream,
 )
-from headcount.engine import run_frames
+from headcount.engine import run, run_frames
 from headcount.simulator import generate, make_scenario
 
 
@@ -323,8 +323,7 @@ class TestParseStream:
         # The event log stores frame ids and timestamps as int64.
         beyond = {**frame_obj(1, 50), field: value}
         src = stream_lines(frame_obj(0, 0), beyond)
-        name = "frame_id" if field == "frame_id" else "timestamp"
-        refusal = f"^line 2: {name} {value} is not an integer in the int64 range$"
+        refusal = f"^line 2: {field} {value} is not an integer in the int64 range$"
         with pytest.raises(StreamError, match=refusal) as err:
             list(parse_stream(src))
         assert err.value.line_number == 2
@@ -414,6 +413,102 @@ class TestParseStream:
     def test_blank_lines_skipped(self):
         src = io.StringIO("\n" + json.dumps(frame_obj()) + "\n\n")
         assert len(list(parse_stream(src))) == 1
+
+
+def encoded(obj):
+    return json.dumps(obj).encode()
+
+
+# Each refusal kind, as line 2 of a stream whose line 1 is a counted frame at dimension 2:
+# the line's bytes, the error class and the message after the "line 2: " prefix.
+LINE_2_REFUSALS = {
+    "utf8": (b"\xff", StreamParseError,
+             "invalid UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "json": (b"{oops", StreamParseError,
+             "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    "not_an_object": (encoded([1, 50]), StreamParseError, "frame record must be a JSON object"),
+    "detections_not_an_array": (encoded({**frame_obj(1, 50), "detections": {"a": 1}}), StreamParseError,
+                                "detections must be an array"),
+    "missing_field": (encoded({"frame_id": 1}), StreamParseError, "missing field 'ts_ms'"),
+    "detection_not_an_object": (encoded(frame_obj(1, 50, [1])), StreamParseError,
+                                "detection entries must be objects"),
+    "number_rule": (encoded(frame_obj(1, 50, [det_obj(conf="0.9")])), StreamParseError,
+                    "each conf must be a number and each box 4 numbers, got conf ('0.9',) "
+                    "and box ([0.4, 0.4, 0.5, 0.5],)"),
+    "range_rule": (encoded(frame_obj(1, 50, [det_obj(conf=2.0)])), StreamParseError,
+                   "detection 0: confidence must be in [0, 1], got conf 2.0 and box [0.4, 0.4, 0.5, 0.5]"),
+    "unknown_class": (encoded(frame_obj(1, 50, [det_obj(cls="dog")])), StreamParseError,
+                      "unknown detection class: 'dog'"),
+    "lighting": (encoded(frame_obj(1, 50, lighting="dusk")), StreamParseError,
+                 "lighting must be 'day' or 'night', got 'dusk'"),
+    "ragged_emb": (encoded(frame_obj(1, 50, [det_obj(), det_obj(emb=(1.0, 0.0, 0.0))])),
+                   EmbeddingDimensionError, "emb lengths [2, 3] differ within one frame"),
+    "frame_id_rule": (encoded(frame_obj(1.5, 50)), StreamOrderError,
+                      "frame_id 1.5 is not an integer in the int64 range"),
+    "ts_ms_rule": (encoded(frame_obj(1, 50.5)), StreamOrderError,
+                   "ts_ms 50.5 is not an integer in the int64 range"),
+    "order_rule": (encoded(frame_obj(0, 50)), StreamOrderError, "frame_id 0 does not increase past 0"),
+    "dimension_rule": (encoded(frame_obj(1, 50, [det_obj(emb=(1.0, 0.0, 0.0))])), EmbeddingDimensionError,
+                       "embedding length 3 != stream dimension 2"),
+}
+
+COUNTED_LINE = encoded(frame_obj(0, 0, [det_obj()]))
+
+
+def summary(result):
+    return (result.ledger.snapshot(), result.frames, result.lighting_counts, result.track_ids_issued)
+
+
+class TestLineNaming:
+    """`parse_stream` is the one place that names a line, whatever on the line is refused."""
+
+    @pytest.mark.parametrize("entry", ["parse_stream", "run"])
+    @pytest.mark.parametrize("case", list(LINE_2_REFUSALS))
+    def test_every_refusal_names_its_line(self, case, entry):
+        line, error, message = LINE_2_REFUSALS[case]
+        with pytest.raises(StreamError) as err:
+            run([COUNTED_LINE, line]) if entry == "run" else list(parse_stream([COUNTED_LINE, line]))
+        assert type(err.value) is error
+        assert err.value.line_number == 2
+        assert str(err.value) == f"line 2: {message}"
+        if entry == "run":
+            assert summary(err.value.result) == summary(run([COUNTED_LINE]))
+
+    def test_a_fault_inside_check_frame_is_not_a_bad_line(self, monkeypatch):
+        fault = TypeError("a fault in the rule, not in the stream")
+
+        def check_frame(frame, last):
+            raise fault
+
+        monkeypatch.setattr("headcount.ingest.check_frame", check_frame)
+        with pytest.raises(TypeError) as err:
+            list(parse_stream([COUNTED_LINE]))
+        assert err.value is fault
+
+
+LONG = "x" * 100_000
+BOUNDED_QUOTES = {
+    "frame_id_array": (frame_obj(list(range(20_000)), 50), StreamOrderError),
+    "ts_ms_string": (frame_obj(1, LONG), StreamOrderError),
+    "class": (frame_obj(1, 50, [det_obj(cls=LONG)]), StreamParseError),
+    "lighting": (frame_obj(1, 50, lighting=LONG), StreamParseError),
+    "conf": (frame_obj(1, 50, [det_obj(conf=LONG)]), StreamParseError),
+    "emb_lengths": (frame_obj(1, 50, [det_obj(cls="bag", emb=[1.0] * k) for k in range(1, 400)]),
+                    EmbeddingDimensionError),
+    "frame_id_array_via_run_frames": (FrameRecord(list(range(20_000)), 50), StreamOrderError),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDED_QUOTES))
+def test_messages_quote_stream_values_in_bounded_form(case):
+    bad, error = BOUNDED_QUOTES[case]
+    parsed = not isinstance(bad, FrameRecord)
+    with pytest.raises(StreamError) as err:
+        list(parse_stream([COUNTED_LINE, encoded(bad)])) if parsed else run_frames([bad])
+    line = 2 if parsed else None
+    assert (type(err.value), err.value.line_number) == (error, line)
+    assert str(err.value).startswith("line 2: ") is (line == 2)
+    assert len(str(err.value)) < 1000
 
 
 class TestFrameRecordLighting:

@@ -122,6 +122,12 @@ class TestCatalog:
         with pytest.raises(ValueError):
             make_scenario("dropout_0", DIM)
 
+    @pytest.mark.parametrize("dim", [True, np.True_, 2.5, "8", 0])
+    def test_embedding_dim_is_a_positive_count(self, dim):
+        with pytest.raises(ValueError, match="^embedding_dim must be a positive integer, got "):
+            make_scenario("clean_entry", dim)
+        assert make_scenario("clean_entry", np.int64(8)).actors[0].base_embedding.shape == (8,)
+
     def test_suite_resolves_all_names(self):
         names = ["clean_entry", "clean_exit", "oscillation", "crossing_pair", "multi_3"]
         specs = [make_scenario(name, DIM) for name in names]
