@@ -24,7 +24,7 @@ def _read_json(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as fp:
             return json.load(fp)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # json.load: also too many digits, too deep
         raise ConfigError(f"cannot read {what} {path} as JSON: {exc}") from None
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import reprlib
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -21,6 +22,9 @@ import numpy as np
 
 if TYPE_CHECKING:
     from .tracker import TrackedObject
+
+quote = reprlib.Repr()  # the one bounded quote of a value read from a stream line, a config or a grid
+quote.maxlevel = 2  # reprlib's default depth of 6 leaves a 6-deep, 6-wide value whole
 
 
 # The number rule, held by every constructor: a number is a real number that is
@@ -48,7 +52,7 @@ def check_numbers(obj, names: tuple = (), counts: tuple = ()) -> None:
     for name in names + counts:
         value, count = getattr(obj, name), name in counts
         if not (is_count(value) if count else is_number_type(type(value))):
-            raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
+            raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {quote.repr(value)}")
 
 
 class Region(Enum):

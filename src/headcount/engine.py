@@ -12,7 +12,7 @@ import itertools
 import time
 from bisect import bisect_left
 from collections import Counter, defaultdict
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .counter import (
     RegionLayout,
     check_numbers,
     classify_region,
+    quote,
     tally,
     update_history,
 )
@@ -70,7 +71,7 @@ class EngineConfig:
         values = dict(_object(data, "config"))
         unknown = set(values) - {f.name for f in fields(cls)}
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"unknown config fields: {quote.repr(sorted(unknown))}")
         try:
             for name, settings in (("tracker", TrackerConfig), ("layout", RegionLayout)):
                 values[name] = settings(**_object(values.get(name, {}), name))
@@ -121,8 +122,8 @@ class LatencyRecorder:
         self._steady: defaultdict[int, Counter] = defaultdict(Counter)
 
     def add(self, tracks: int, elapsed_ns: int) -> None:
-        shift = elapsed_ns.bit_length() - (SUB_BUCKET_BITS + 1)
-        key = elapsed_ns if shift <= 0 else (shift << SUB_BUCKET_BITS) + (elapsed_ns >> shift)
+        shift = max(elapsed_ns.bit_length() - (SUB_BUCKET_BITS + 1), 0)
+        key = (shift << SUB_BUCKET_BITS) + (elapsed_ns >> shift)
         groups = self._warm if self._added < WARMUP_FRAMES else self._steady
         self._added += 1
         groups[tracks][key] += 1
@@ -151,13 +152,7 @@ class BenchReport:
         return {
             "warmup_excluded": self.warmup_excluded,
             "groups": {
-                str(count): {
-                    "samples": stats.samples,
-                    "p50_us": stats.p50_us,
-                    "p95_us": stats.p95_us,
-                    "p99_us": stats.p99_us,
-                    "max_fps": stats.max_fps,
-                }
+                str(count): {**asdict(stats), "max_fps": stats.max_fps}
                 for count, stats in self.groups.items()
             },
         }
@@ -241,7 +236,7 @@ def run(source, config: Optional[EngineConfig] = None) -> RunResult:
 
 def run_frames(frames: Iterable[FrameRecord], config: Optional[EngineConfig] = None) -> RunResult:
     """Like run(), for frames that are already parsed (no stream decoding)."""
-    engine = Engine(config or EngineConfig())
+    engine = Engine(config)
     recorder = LatencyRecorder()
     error = None
     try:
@@ -326,9 +321,9 @@ def calibrate(
     cfg = config or EngineConfig()
     for name, values in _object(grid, "grid").items():
         if name not in _GRID_AXES:
-            raise ConfigError(f"unknown calibration axis: {name!r}")
+            raise ConfigError(f"unknown calibration axis: {quote.repr(name)}")
         if type(values) is not list or not values:
-            raise ConfigError(f"grid.{name} must be a non-empty JSON array, got {values!r}")
+            raise ConfigError(f"grid.{name} must be a non-empty JSON array, got {quote.repr(values)}")
     axes = [grid.get(name, [getattr(cfg.tracker, name)]) for name in _GRID_AXES]
     points = list(itertools.product(*axes))
     try:

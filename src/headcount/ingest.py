@@ -20,7 +20,6 @@ yields. Embeddings default to DEFAULT_EMBEDDING_DIM components.
 from __future__ import annotations
 
 import json
-import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
@@ -28,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .counter import is_count, is_number_row, is_number_type, write_lines
+from .counter import is_count, is_number_row, is_number_type, quote, write_lines
 
 DEFAULT_EMBEDDING_DIM = 1024
 
@@ -89,12 +88,12 @@ def _embedding_block(rows: list) -> np.ndarray:
     """Stack embedding rows into one (n, d) float block; all rows share one length."""
     for row in rows:
         if not is_number_row(row):
-            raise ValueError(f"emb must be a flat array of numbers, got {reprlib.repr(row)}")
+            raise ValueError(f"emb must be a flat array of numbers, got {quote.repr(row)}")
     try:
         return np.array(rows, dtype=float)
     except ValueError:  # ragged rows
         lengths = sorted(set(map(len, rows)))
-        raise EmbeddingDimensionError(f"emb lengths {reprlib.repr(lengths)} differ within one frame") from None
+        raise EmbeddingDimensionError(f"emb lengths {quote.repr(lengths)} differ within one frame") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +140,7 @@ class Detections:
             valid = False
         if not valid:
             raise ValueError(f"each conf must be a number and each box 4 numbers, got conf "
-                             f"{reprlib.repr(confs)} and box {reprlib.repr(boxes)}")
+                             f"{quote.repr(confs)} and box {quote.repr(boxes)}")
         has_embedding = np.array([emb is not None for emb in embs], dtype=bool)
         embedded = [emb for emb in embs if emb is not None]
         block = _embedding_block(embedded) if embedded else np.zeros((0, 0))
@@ -150,7 +149,7 @@ class Detections:
         try:
             labels = tuple(map(_CLASSES.__getitem__, classes))
         except KeyError as exc:
-            raise ValueError(f"unknown detection class: {reprlib.repr(exc.args[0])}") from None
+            raise ValueError(f"unknown detection class: {quote.repr(exc.args[0])}") from None
         except TypeError as exc:  # an unhashable class, e.g. a JSON array
             raise ValueError(f"unknown detection class: {exc}") from None
         return cls(labels, np.array(confs, dtype=float), np.array(boxes, dtype=float).reshape(n, 4),
@@ -180,7 +179,7 @@ class FrameRecord:
             try:
                 object.__setattr__(self, "lighting", LightingMode(self.lighting))
             except ValueError:
-                raise ValueError(f"lighting must be 'day' or 'night', got {reprlib.repr(self.lighting)}") from None
+                raise ValueError(f"lighting must be 'day' or 'night', got {quote.repr(self.lighting)}") from None
 
 
 def classify_lighting(
@@ -254,7 +253,7 @@ def check_frame(frame: FrameRecord, last: StreamState) -> StreamState:
     frame_id, ts_ms = frame.frame_id, frame.timestamp_ms
     for name, value in (("frame_id", frame_id), ("ts_ms", ts_ms)):
         if not (is_count(value) and -(2**63) <= value < 2**63):
-            raise StreamOrderError(f"{name} {reprlib.repr(value)} is not an integer in the int64 range")
+            raise StreamOrderError(f"{name} {quote.repr(value)} is not an integer in the int64 range")
     last_id, last_ts, dim = last
     if last_id is not None:
         if frame_id <= last_id:
@@ -306,7 +305,7 @@ def parse_stream(
             last = check_frame(frame, last)
         except UnicodeDecodeError as exc:
             raise StreamParseError(f"invalid UTF-8: {exc}", line_number) from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # json.loads: also too many digits, too deep
             raise StreamParseError(f"invalid JSON: {exc}", line_number) from None
         except StreamError as exc:
             raise type(exc)(str(exc), line_number) from None

@@ -121,19 +121,16 @@ class ScenarioSpec:
     name: str
     seed: int
     duration_frames: int
-    fps: float = DEFAULT_FPS
     actors: list[ActorSpec] = field(default_factory=list)
     distractions: list[DistractionSpec] = field(default_factory=list)
     noise: NoiseSpec = NoiseSpec()
 
     def __post_init__(self):
-        check_numbers(self, ("fps",), ("seed", "duration_frames"))
+        check_numbers(self, (), ("seed", "duration_frames"))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.duration_frames <= 0:
             raise ValueError("duration_frames must be positive")
-        if not self.fps > 0:  # `not >`: a NaN fails too
-            raise ValueError("fps must be positive")
 
 
 @dataclass(frozen=True)
@@ -202,7 +199,7 @@ def generate(
     tracks = [_track(actor, spec.duration_frames) for actor in spec.actors]
     frames: list[FrameRecord] = []
     for frame_idx in range(spec.duration_frames):
-        ts_ms = round(frame_idx * 1000.0 / spec.fps)
+        ts_ms = round(frame_idx * 1000.0 / DEFAULT_FPS)
         rows: list[tuple] = []
         for actor, track in zip(spec.actors, tracks):
             pos = track.get(frame_idx)

@@ -134,7 +134,6 @@ def associate(matrices: DistanceMatrices, config: TrackerConfig) -> AssignmentRe
 
 @dataclass
 class StepReport:
-    frame_id: int
     created_ids: list[int]
     matched_ids: list[int]
     evicted_ids: list[int]
@@ -192,7 +191,7 @@ class Tracker:
             self.objects.append(track)
             created.append(track.id)
         evicted += self._evict(frame_id)
-        return StepReport(frame_id, created, matched, evicted)
+        return StepReport(created, matched, evicted)
 
     def _evict(self, frame_id: int) -> list[int]:
         """Drop every track unseen for more than the miss limit by `frame_id`; return their ids."""

@@ -190,6 +190,7 @@ class TestCalibrate:
             '{"feature_threshold": "0.35"}',
             '{"miss_limit": [2.5, true]}',
             '{"feature_threshold": ["0.3"]}',
+            pytest.param("[" * 100_000, id="nesting_past_the_recursion_limit"),
             None,  # no file at the grid path
         ],
     )

@@ -59,6 +59,17 @@ def report_from_samples(samples):
     return recorder.report()
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_process_stdout(code):
+    """What `code` prints when a fresh interpreter runs it against the package in `src/`."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def settable_fields():
     """(section, its class, field) for every settable config field; the
     section is "" for EngineConfig's own fields."""
@@ -224,6 +235,8 @@ class TestBench:
             assert stats.max_fps > 0
         payload = report.to_dict()
         assert set(payload["groups"]) == {"0", "1", "2", "3"}
+        assert list(payload) == ["warmup_excluded", "groups"]
+        assert list(payload["groups"]["0"]) == ["samples", "p50_us", "p95_us", "p99_us", "max_fps"]
 
     def test_warmup_exclusion(self):
         samples = [(0, 1.0)] * 60
@@ -324,13 +337,27 @@ class TestBench:
             "assert hc.bench([hc.make_scenario('clean_entry', 8)], repetitions=1).groups\n"
             "print('numpy.ma' in sys.modules)\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        assert fresh_process_stdout(code).strip() == "False"
+
+    def test_run_loads_only_the_stdlib_numpy_and_headcount(self):
+        # numpy is the one runtime dependency: other packages may be installed, but nothing loads them.
+        code = (
+            "import io, sys\n"
+            "before = set(sys.modules)\n"
+            "import headcount as hc\n"
+            "frames, _ = hc.generate(hc.make_scenario('multi_3', 8))\n"
+            "buf = io.StringIO()\n"
+            "hc.write_stream(frames, buf)\n"
+            "assert hc.run(io.StringIO(buf.getvalue())).frames\n"
+            "print(*sorted({name.partition('.')[0] for name in set(sys.modules) - before}))\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        loaded = fresh_process_stdout(code).split()
+        # numpy's compiled extensions load Cython's shared runtime modules
+        foreign = [name for name in loaded if name not in sys.stdlib_module_names
+                   and name not in ("numpy", "headcount", "cython_runtime") and not name.startswith("_cython_")]
+        assert "numpy" in loaded and foreign == []
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        assert re.findall(r"^dependencies = (.*)$", pyproject, flags=re.M) == ['["numpy>=1.24"]']
 
     def test_rejects_zero_reps(self):
         with pytest.raises(ValueError):
@@ -402,6 +429,27 @@ class TestCalibrate:
         with pytest.raises(ValueError, match="scenario and one seed") as info:
             calibrate({}, specs, seeds=seeds)
         assert not isinstance(info.value, ConfigError)
+
+
+LONG = "x" * 100_000
+NESTED = 0
+for _ in range(6):  # 6 deep, 6 wide: reprlib's default limits (6 and 6) leave it whole
+    NESTED = [NESTED] * 6
+# A config file or a calibration grid quotes what it refuses in bounded form.
+BOUNDED_CONFIG_QUOTES = {
+    "config_value": lambda: EngineConfig.from_dict({"min_confidence": NESTED}),
+    "config_field": lambda: EngineConfig.from_dict({LONG: 1}),
+    "grid_value": lambda: calibrate({"miss_limit": LONG}, [make_scenario("clean_entry", DIM)]),
+    "grid_candidate": lambda: calibrate({"miss_limit": [NESTED]}, [make_scenario("clean_entry", DIM)]),
+    "grid_axis": lambda: calibrate({LONG: [1]}, [make_scenario("clean_entry", DIM)]),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDED_CONFIG_QUOTES))
+def test_config_messages_quote_values_in_bounded_form(case):
+    with pytest.raises(ConfigError) as err:
+        BOUNDED_CONFIG_QUOTES[case]()
+    assert len(str(err.value)) < 1000
 
 
 class TestFrameGaps:

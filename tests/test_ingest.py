@@ -474,6 +474,15 @@ class TestLineNaming:
         if entry == "run":
             assert summary(err.value.result) == summary(run([COUNTED_LINE]))
 
+    @pytest.mark.parametrize("line", [b'{"frame_id": ' + b"1" * 5000 + b', "ts_ms": 50}', b"[" * 100_000],
+                             ids=["integer_past_the_digit_limit", "nesting_past_the_recursion_limit"])
+    def test_json_past_a_python_limit_is_invalid_json_on_its_line(self, line):
+        # json.loads raises a plain ValueError and a RecursionError here, not a JSONDecodeError.
+        with pytest.raises(StreamParseError, match="^line 2: invalid JSON: ") as err:
+            run([COUNTED_LINE, line])
+        assert err.value.line_number == 2
+        assert summary(err.value.result) == summary(run([COUNTED_LINE]))
+
     def test_a_fault_inside_check_frame_is_not_a_bad_line(self, monkeypatch):
         fault = TypeError("a fault in the rule, not in the stream")
 
@@ -487,8 +496,12 @@ class TestLineNaming:
 
 
 LONG = "x" * 100_000
+NESTED = 0
+for _ in range(6):  # 6 deep, 6 wide: reprlib's default limits (6 and 6) leave it whole
+    NESTED = [NESTED] * 6
 BOUNDED_QUOTES = {
     "frame_id_array": (frame_obj(list(range(20_000)), 50), StreamOrderError),
+    "frame_id_nested": (frame_obj(NESTED, 50), StreamOrderError),
     "ts_ms_string": (frame_obj(1, LONG), StreamOrderError),
     "class": (frame_obj(1, 50, [det_obj(cls=LONG)]), StreamParseError),
     "lighting": (frame_obj(1, 50, lighting=LONG), StreamParseError),
