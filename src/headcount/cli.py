@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, help="override the scenario seed")
     p_sim.add_argument("--out", required=True, help="stream output file")
     p_sim.add_argument("--truth-out", help="ground-truth sidecar file")
-    p_sim.add_argument("--embedding-dim", type=int, help="embedding dimension (default 1024)")
+    p_sim.add_argument("--embedding-dim", type=int, help=f"embedding dimension (default {DEFAULT_EMBEDDING_DIM})")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_bench = sub.add_parser("bench", parents=[common], help="measure per-frame engine latency")

@@ -81,7 +81,11 @@ class RegionLayout:
 
     def __post_init__(self):
         check_numbers(self, ("line_ab", "line_bc"))
-        object.__setattr__(self, "orientation", Orientation(self.orientation))
+        try:
+            object.__setattr__(self, "orientation", Orientation(self.orientation))
+        except ValueError:
+            raise ValueError("orientation must be 'outside_top' or 'outside_bottom', "
+                             f"got {quote.repr(self.orientation)}") from None
         if not 0.0 < self.line_ab < self.line_bc < 1.0:
             raise ValueError(
                 f"region lines must satisfy 0 < line_ab < line_bc < 1, "

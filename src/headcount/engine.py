@@ -40,10 +40,14 @@ class ConfigError(ValueError):
     """Invalid engine configuration (bad field, value, or file)."""
 
 
-def _object(data, name: str):
+def _object(data, names, label: str) -> dict:
+    """A copy of `data`, a config or grid file's JSON object, whose keys must all be in `names`."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{name} must be a JSON object")
-    return data
+        raise ConfigError(f"{label} must be a JSON object")
+    unknown = [key for key in data if key not in names]
+    if unknown:
+        raise ConfigError(f"unknown {label} fields: {quote.repr(unknown)}")
+    return dict(data)
 
 
 @dataclass(frozen=True)
@@ -68,15 +72,12 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
-        values = dict(_object(data, "config"))
-        unknown = set(values) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {quote.repr(sorted(unknown))}")
+        values = _object(data, [f.name for f in fields(cls)], "config")
         try:
             for name, settings in (("tracker", TrackerConfig), ("layout", RegionLayout)):
-                values[name] = settings(**_object(values.get(name, {}), name))
+                values[name] = settings(**_object(values.get(name, {}), [f.name for f in fields(settings)], name))
             return cls(**values)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
 
@@ -319,9 +320,8 @@ def calibrate(
     if not scenarios or not seeds:
         raise ValueError("calibrate needs at least one scenario and one seed")
     cfg = config or EngineConfig()
-    for name, values in _object(grid, "grid").items():
-        if name not in _GRID_AXES:
-            raise ConfigError(f"unknown calibration axis: {quote.repr(name)}")
+    grid = _object(grid, _GRID_AXES, "grid")
+    for name, values in grid.items():
         if type(values) is not list or not values:
             raise ConfigError(f"grid.{name} must be a non-empty JSON array, got {quote.repr(values)}")
     axes = [grid.get(name, [getattr(cfg.tracker, name)]) for name in _GRID_AXES]

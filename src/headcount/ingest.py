@@ -75,12 +75,14 @@ class EmbeddingDimensionError(StreamError):
 
 
 def validate_embedding(block: np.ndarray) -> None:
-    """The embedding rule for an (n, d) block: d >= 1, all finite, no zero row."""
+    """The embedding rule for an (n, d) block: d >= 1, and each row's squares sum to less than
+    inf (all finite, no overflow) and more than 0 (not zero, not all underflowing)."""
     if block.ndim != 2 or (len(block) > 0 and block.shape[1] == 0):
         raise ValueError("embedding must have at least one component")
-    if np.count_nonzero(np.isfinite(block)) < block.size:
-        raise ValueError("embedding components must be finite")
-    if np.count_nonzero(np.einsum("ij,ij->i", block, block) > 0.0) < len(block):
+    squares = np.einsum("ij,ij->i", block, block)
+    if np.count_nonzero(squares < np.inf) < len(block):
+        raise ValueError("embedding components must be finite and their squares must sum below the float64 limit")
+    if np.count_nonzero(squares > 0.0) < len(block):
         raise ValueError("embedding has zero norm: cosine distance is undefined for a zero vector")
 
 
@@ -230,7 +232,7 @@ def filter_heads(frame: FrameRecord, min_confidence: float) -> np.ndarray:
     confidence; detections are never relabeled.
     """
     if not is_number_type(type(min_confidence)) or not 0.0 <= min_confidence <= 1.0:
-        raise ValueError(f"min_confidence must be a number in [0, 1], got {min_confidence!r}")
+        raise ValueError(f"min_confidence must be a number in [0, 1], got {quote.repr(min_confidence)}")
     dets = frame.detections
     rows = enumerate(zip(dets.labels, dets.confidences.tolist()))
     kept = [i for i, (label, conf) in rows if label is DetectionClass.HEAD and conf >= min_confidence]

@@ -27,6 +27,7 @@ from .counter import (
     check_numbers,
     is_count,
     is_number_type,
+    quote,
     write_lines,
 )
 from .ingest import DEFAULT_EMBEDDING_DIM, DetectionClass, Detections, FrameRecord
@@ -82,10 +83,8 @@ class ActorSpec:
             raise ValueError(f"actor {self.actor_id}: path needs at least one waypoint")
         for f, x, y in self.path:
             if not is_count(f) or not all(map(is_number_type, map(type, (x, y)))):
-                raise ValueError(
-                    f"actor {self.actor_id}: waypoint ({f!r}, {x!r}, {y!r}) must be an integer "
-                    "frame and two numbers"
-                )
+                raise ValueError(f"actor {self.actor_id}: waypoint {quote.repr((f, x, y))} must be an integer "
+                                 "frame and two numbers")
             if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
                 raise ValueError(
                     f"actor {self.actor_id}: waypoint ({x}, {y}) at frame {f} leaves the frame"
@@ -113,7 +112,7 @@ class DistractionSpec:
         check_numbers(self, ("x", "y", "confidence"))
         for name in ("x", "y", "confidence"):
             if not 0.0 <= getattr(self, name) <= 1.0:  # `not`: a NaN fails too
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be in [0, 1], got {quote.repr(getattr(self, name))}")
 
 
 @dataclass
@@ -128,7 +127,7 @@ class ScenarioSpec:
     def __post_init__(self):
         check_numbers(self, (), ("seed", "duration_frames"))
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+            raise ValueError(f"seed must be >= 0, got {quote.repr(self.seed)}")
         if self.duration_frames <= 0:
             raise ValueError("duration_frames must be positive")
 
@@ -331,17 +330,15 @@ def catalog_names() -> list[str]:
 def make_scenario(name: str, embedding_dim: int = DEFAULT_EMBEDDING_DIM) -> ScenarioSpec:
     """Build one canned scenario by name; dropout_<k> takes the gap length."""
     if not is_count(embedding_dim) or embedding_dim < 1:
-        raise ValueError(f"embedding_dim must be a positive integer, got {embedding_dim!r}")
+        raise ValueError(f"embedding_dim must be a positive integer, got {quote.repr(embedding_dim)}")
     if name.startswith("dropout_"):
         suffix = name[len("dropout_") :]
         if not suffix.isdigit() or int(suffix) < 1:
-            raise ValueError(f"bad dropout scenario '{name}'; use dropout_<k> with k >= 1")
+            raise ValueError(f"bad dropout scenario {quote.repr(name)}; use dropout_<k> with k >= 1")
         return _dropout(int(suffix), embedding_dim)
     builder = _CATALOG.get(name)
     if builder is None:
-        raise ValueError(
-            f"unknown scenario '{name}'; available: {', '.join(catalog_names())}"
-        )
+        raise ValueError(f"unknown scenario {quote.repr(name)}; available: {', '.join(catalog_names())}")
     return builder(embedding_dim)
 
 

@@ -1,12 +1,15 @@
+import ast
 import io
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import headcount
 from headcount.counter import (
     AccuracyReport,
     CountLedger,
@@ -226,3 +229,13 @@ class TestAccuracy:
     def test_formula(self, total, error):
         report = accuracy(total, error)
         assert report.accuracy_percent == round((total - error) / total * 100.0, 2)
+
+
+def test_values_are_quoted_only_through_quote():
+    # An f-string's !r quotes a value whole, however large it is; counter.quote bounds it.
+    found = set()
+    for path in sorted(Path(headcount.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FormattedValue) and node.conversion == ord("r"):
+                found.add(f"{path.name}:{node.lineno}")
+    assert sorted(found) == []

@@ -185,6 +185,7 @@ class TestEngineConfig:
             {"tracker": {"feature_threshold": float("nan")}},
             {"tracker": {"spatial_threshold": float("nan")}},
             {"layout": {"orientation": "sideways"}},
+            {"layout": {"orientation": [1]}},  # unhashable: still a ValueError, never a TypeError
         ],
     )
     def test_invalid_configs(self, data):
@@ -439,6 +440,9 @@ for _ in range(6):  # 6 deep, 6 wide: reprlib's default limits (6 and 6) leave i
 BOUNDED_CONFIG_QUOTES = {
     "config_value": lambda: EngineConfig.from_dict({"min_confidence": NESTED}),
     "config_field": lambda: EngineConfig.from_dict({LONG: 1}),
+    "tracker_field": lambda: EngineConfig.from_dict({"tracker": {LONG: 1}}),
+    "layout_field": lambda: EngineConfig.from_dict({"layout": {LONG: 1}}),
+    "orientation": lambda: EngineConfig.from_dict({"layout": {"orientation": LONG}}),
     "grid_value": lambda: calibrate({"miss_limit": LONG}, [make_scenario("clean_entry", DIM)]),
     "grid_candidate": lambda: calibrate({"miss_limit": [NESTED]}, [make_scenario("clean_entry", DIM)]),
     "grid_axis": lambda: calibrate({LONG: [1]}, [make_scenario("clean_entry", DIM)]),

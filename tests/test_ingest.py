@@ -94,6 +94,23 @@ class TestDetectionRecord:
             validate_embedding(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
     @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((1.0, float("nan")), "must be finite"),
+            ((float("inf"), 1.0), "must be finite"),
+            ((-float("inf"), 0.0), "must be finite"),
+            ((1e200, 5e199), "squares must sum below the float64 limit"),  # each finite, the sum is not
+            ((0.0, 0.0), "zero norm"),
+            ((1e-200, 1e-200), "zero norm"),  # non-zero, but every square underflows to 0
+        ],
+        ids=["nan", "inf", "minus_inf", "overflow", "zero", "underflow"],
+    )
+    def test_embedding_rule_refuses_a_row(self, row, message):
+        # One row of the block breaks the rule: the block is refused whatever its other rows are.
+        with pytest.raises(ValueError, match=message):
+            validate_embedding(np.array([[1.0, 0.5], row, [0.0, 2.0]]))
+
+    @pytest.mark.parametrize(
         "emb",
         [
             ("1.5", 0.5), (True, 0.5), (0.5, False), (np.bool_(True), 0.5), np.array([True, False]),
@@ -231,6 +248,11 @@ class TestFilterHeads:
         # A bool must not read as a floor of 1.0 and silently drop a 0.95 head.
         with pytest.raises(ValueError, match="^min_confidence must"):
             filter_heads(frame_of(head(0.95)), floor)
+
+    def test_floor_is_quoted_in_bounded_form(self):
+        with pytest.raises(ValueError, match="^min_confidence must") as err:
+            filter_heads(frame_of(head(0.95)), "x" * 100_000)
+        assert len(str(err.value)) < 1000
 
     @given(
         st.lists(st.tuples(st.sampled_from(["head", "chair", "bag"]), st.floats(0, 1)), max_size=12),
@@ -450,6 +472,9 @@ LINE_2_REFUSALS = {
     "order_rule": (encoded(frame_obj(0, 50)), StreamOrderError, "frame_id 0 does not increase past 0"),
     "dimension_rule": (encoded(frame_obj(1, 50, [det_obj(emb=(1.0, 0.0, 0.0))])), EmbeddingDimensionError,
                        "embedding length 3 != stream dimension 2"),
+    "embedding_overflow": (encoded(frame_obj(1, 50, [det_obj(emb=(1e200, 5e199))])), StreamParseError,
+                           "embedding components must be finite and their squares must sum "
+                           "below the float64 limit"),
 }
 
 COUNTED_LINE = encoded(frame_obj(0, 0, [det_obj()]))

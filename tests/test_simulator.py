@@ -128,6 +128,21 @@ class TestCatalog:
             make_scenario("clean_entry", dim)
         assert make_scenario("clean_entry", np.int64(8)).actors[0].base_embedding.shape == (8,)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_scenario("x" * 100_000),  # the CLI's --scenario and --scenarios
+            lambda: make_scenario("dropout_" + "x" * 100_000),
+            lambda: make_scenario("clean_entry", [0] * 100_000),
+            lambda: ActorSpec(1, [(0, "x" * 100_000, 0.5)], np.ones(4)),
+        ],
+        ids=["name", "dropout_name", "embedding_dim", "waypoint"],
+    )
+    def test_messages_quote_values_in_bounded_form(self, build):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert len(str(err.value)) < 1000
+
     def test_suite_resolves_all_names(self):
         names = ["clean_entry", "clean_exit", "oscillation", "crossing_pair", "multi_3"]
         specs = [make_scenario(name, DIM) for name in names]
