@@ -55,6 +55,13 @@ def check_numbers(obj, names: tuple = (), counts: tuple = ()) -> None:
             raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {quote.repr(value)}")
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError, led by `name`, unless an argument is a count of at least `least` (0 or 1)."""
+    if not is_count(value) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {quote.repr(value)}")
+
+
 class Region(Enum):
     A = "A"  # fully outside
     B = "B"  # critical buffer between the lines

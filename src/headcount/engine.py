@@ -22,6 +22,7 @@ from .counter import (
     CountLedger,
     CrossingEvent,
     RegionLayout,
+    check_count,
     check_numbers,
     classify_region,
     quote,
@@ -268,8 +269,7 @@ def bench(
     covers filtering, association and counting only. Runs single-threaded; a
     fresh engine per repetition keeps state comparable across reps.
     """
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+    check_count("repetitions", repetitions, 1)
     if not scenarios:
         raise ValueError("bench needs at least one scenario")
     cfg = config or EngineConfig()

@@ -10,7 +10,7 @@ deterministic for a fixed scenario, so streams replay byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -24,17 +24,19 @@ from .counter import (
     Orientation,
     RegionLayout,
     accuracy,
+    check_count,
     check_numbers,
     is_count,
-    is_number_type,
+    is_number_row,
     quote,
     write_lines,
 )
-from .ingest import DEFAULT_EMBEDDING_DIM, DetectionClass, Detections, FrameRecord
+from .ingest import _CLASSES, DEFAULT_EMBEDDING_DIM, DetectionClass, Detections, FrameRecord, check_frame
 
 HEAD_BOX_SIZE = 0.08
 HEAD_CONFIDENCE = 0.95
 DEFAULT_FPS = 20.0
+_DROPOUT_GAPS = range(28, 70)  # dropout_<k> misses the first k frames of these; it lasts 70 frames
 
 
 class ActorIntent(Enum):
@@ -62,7 +64,7 @@ class NoiseSpec:
             raise ValueError("center_jitter_sigma must be >= 0")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActorSpec:
     """One simulated person: waypoint path plus appearance.
 
@@ -82,24 +84,25 @@ class ActorSpec:
         if not self.path:
             raise ValueError(f"actor {self.actor_id}: path needs at least one waypoint")
         for f, x, y in self.path:
-            if not is_count(f) or not all(map(is_number_type, map(type, (x, y)))):
+            if not is_count(f) or not is_number_row((x, y)):
                 raise ValueError(f"actor {self.actor_id}: waypoint {quote.repr((f, x, y))} must be an integer "
                                  "frame and two numbers")
             if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-                raise ValueError(
-                    f"actor {self.actor_id}: waypoint ({x}, {y}) at frame {f} leaves the frame"
-                )
+                raise ValueError(f"actor {self.actor_id}: waypoint ({x}, {y}) at frame {f} leaves the frame")
         frames = [wp[0] for wp in self.path]
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ValueError(f"actor {self.actor_id}: waypoint frames must strictly increase")
-        self.base_embedding = np.asarray(self.base_embedding, dtype=float)
-        if self.base_embedding.ndim != 1 or not np.any(self.base_embedding):
-            raise ValueError(f"actor {self.actor_id}: base embedding must be a non-zero vector")
+        try:  # the stream's own rules, on one head row
+            row = Detections.from_rows([(DetectionClass.HEAD, 1.0, (0, 0, 1, 1), self.base_embedding)]).embeddings
+        except (ValueError, OverflowError) as exc:  # overflow: an integer beyond float range
+            raise ValueError(f"actor {self.actor_id}: base embedding: {exc}") from None
+        row.flags.writeable = False  # frozen: the stored float64 row cannot change either
+        object.__setattr__(self, "base_embedding", row[0])
 
 
 @dataclass(frozen=True)
 class DistractionSpec:
-    """A static non-head object present in every frame."""
+    """A static non-head object in every frame; its class, a member or its wire name, is stored as the member."""
 
     class_label: DetectionClass
     x: float
@@ -107,15 +110,20 @@ class DistractionSpec:
     confidence: float = 0.89
 
     def __post_init__(self):
-        if self.class_label is DetectionClass.HEAD:
-            raise ValueError("distractions cannot use the head class")
+        try:
+            label = _CLASSES.get(self.class_label)
+        except TypeError:  # an unhashable class
+            label = None
+        if label in (None, DetectionClass.HEAD):
+            raise ValueError(f"distraction class must be a non-head class, got {quote.repr(self.class_label)}")
+        object.__setattr__(self, "class_label", label)
         check_numbers(self, ("x", "y", "confidence"))
         for name in ("x", "y", "confidence"):
             if not 0.0 <= getattr(self, name) <= 1.0:  # `not`: a NaN fails too
                 raise ValueError(f"{name} must be in [0, 1], got {quote.repr(getattr(self, name))}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioSpec:
     name: str
     seed: int
@@ -197,6 +205,7 @@ def generate(
     ]
     tracks = [_track(actor, spec.duration_frames) for actor in spec.actors]
     frames: list[FrameRecord] = []
+    last = (None, None, None)  # check_frame's state: no frame yet, no dimension yet
     for frame_idx in range(spec.duration_frames):
         ts_ms = round(frame_idx * 1000.0 / DEFAULT_FPS)
         rows: list[tuple] = []
@@ -215,6 +224,7 @@ def generate(
                 embedding = embedding + rng.normal(0.0, noise.embedding_noise_sigma, embedding.shape)
             rows.append((DetectionClass.HEAD, HEAD_CONFIDENCE, _head_box(x, y), embedding))
         frames.append(FrameRecord(frame_idx, ts_ms, Detections.from_rows(rows + distraction_rows)))
+        last = check_frame(frames[-1], last)  # the stream rule, one embedding dimension included
     return frames, _ground_truth(spec, tracks, layout)
 
 
@@ -303,14 +313,9 @@ def _multi_3(dim: int) -> ScenarioSpec:
 
 def _dropout(k: int, dim: int) -> ScenarioSpec:
     # The gap sits mid-crossing, inside the buffer region for small k.
-    actor = ActorSpec(
-        1,
-        _crossing_path(0.5, 0.1, 0.9, 0, 60),
-        _basis(dim, 0),
-        ActorIntent.ENTER,
-        missed_frames=frozenset(range(28, 28 + k)),
-    )
-    return ScenarioSpec(f"dropout_{k}", seed=110 + k, duration_frames=70, actors=[actor])
+    actor = ActorSpec(1, _crossing_path(0.5, 0.1, 0.9, 0, 60), _basis(dim, 0), ActorIntent.ENTER,
+                      missed_frames=frozenset(_DROPOUT_GAPS[:k]))
+    return ScenarioSpec(f"dropout_{k}", seed=110 + k, duration_frames=_DROPOUT_GAPS.stop, actors=[actor])
 
 
 _CATALOG = {
@@ -329,12 +334,11 @@ def catalog_names() -> list[str]:
 
 def make_scenario(name: str, embedding_dim: int = DEFAULT_EMBEDDING_DIM) -> ScenarioSpec:
     """Build one canned scenario by name; dropout_<k> takes the gap length."""
-    if not is_count(embedding_dim) or embedding_dim < 1:
-        raise ValueError(f"embedding_dim must be a positive integer, got {quote.repr(embedding_dim)}")
+    check_count("embedding_dim", embedding_dim, 1)
     if name.startswith("dropout_"):
-        suffix = name[len("dropout_") :]
-        if not suffix.isdigit() or int(suffix) < 1:
-            raise ValueError(f"bad dropout scenario {quote.repr(name)}; use dropout_<k> with k >= 1")
+        suffix, most = name[len("dropout_") :], len(_DROPOUT_GAPS)
+        if suffix not in map(str, range(1, most + 1)):  # k's plain digits, so no k is parsed or allocated
+            raise ValueError(f"bad dropout scenario {quote.repr(name)}; use dropout_<k> with 1 <= k <= {most}")
         return _dropout(int(suffix), embedding_dim)
     builder = _CATALOG.get(name)
     if builder is None:
@@ -356,6 +360,9 @@ def random_crossings(
     seed, so the scenario (and therefore its stream) is reproducible. Useful
     for calibration sweeps and accuracy soak tests.
     """
+    scenario = ScenarioSpec(f"random_crossings_{seed}", seed, 1, noise=noise)  # the seed's rule, before numpy's
+    check_count("actors", actors, 0)
+    check_count("embedding_dim", embedding_dim, 1)
     rng = np.random.default_rng(seed)
     specs: list[ActorSpec] = []
     last_start = 0
@@ -375,7 +382,4 @@ def random_crossings(
                 intent=ActorIntent.ENTER if entering else ActorIntent.EXIT,
             )
         )
-    duration = last_start + crossing_frames + 10
-    return ScenarioSpec(
-        f"random_crossings_{seed}", seed=seed, duration_frames=duration, actors=specs, noise=noise
-    )
+    return replace(scenario, duration_frames=last_start + crossing_frames + 10, actors=specs)

@@ -1,13 +1,13 @@
 import io
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from headcount import counter, engine, simulator
 from headcount.counter import CountLedger, EventKind, Orientation, RegionLayout
-from headcount.engine import EngineConfig, run_frames
-from headcount.ingest import DetectionClass, write_stream
+from headcount.engine import EngineConfig, bench, run, run_frames
+from headcount.ingest import DetectionClass, EmbeddingDimensionError, write_stream
 from headcount.simulator import (
     ActorIntent,
     ActorSpec,
@@ -46,6 +46,60 @@ def number_fields():
         yield from ((spec, base, f) for f in fields(spec) if f.type in ("int", "float"))
 
 
+def simulator_dataclasses():
+    """Every dataclass defined in the simulator module (not the ones it imports)."""
+    return [obj for obj in vars(simulator).values()
+            if isinstance(obj, type) and is_dataclass(obj) and obj.__module__ == simulator.__name__]
+
+
+def _actor(embedding, actor_id=7):
+    return ActorSpec(actor_id, [(0, 0.5, 0.1), (20, 0.5, 0.9)], embedding)
+
+
+def _mixed_dimensions():
+    # Two actors in view one after the other: frames 0-20 carry 4-d rows, 21-41 8-d rows.
+    late = ActorSpec(2, [(21, 0.5, 0.1), (41, 0.5, 0.9)], np.ones(8))
+    return generate(ScenarioSpec("mixed", seed=1, duration_frames=42, actors=[_actor(np.ones(4)), late]))
+
+
+# Inputs the stream's rules refuse, each refused when its spec is built (or, for a
+# stream-wide rule, by `generate` before it returns a frame): (build, error, message).
+REFUSED = {
+    "emb_nan": (lambda: _actor([float("nan"), 1.0]), ValueError, "^actor 7: base embedding: .*finite"),
+    "emb_inf": (lambda: _actor(np.array([np.inf, 1.0])), ValueError, "^actor 7: base embedding: .*finite"),
+    "emb_overflow": (lambda: _actor([1e200, 5e199]), ValueError, "^actor 7: base embedding: .*float64 limit"),
+    "emb_coerced": (lambda: _actor(["1", True]), ValueError, "^actor 7: base embedding: emb must be a flat array"),
+    "emb_zero": (lambda: _actor(np.zeros(4)), ValueError, "^actor 7: base embedding: .*zero norm"),
+    "emb_2d": (lambda: _actor(np.ones((2, 2))), ValueError, "^actor 7: base embedding: emb must be a flat array"),
+    "emb_huge_int": (lambda: _actor([10**400]), ValueError, "^actor 7: base embedding: "),
+    "class_sofa": (lambda: DistractionSpec("sofa", 0.5, 0.5), ValueError, "^distraction class .* got 'sofa'"),
+    "class_3": (lambda: DistractionSpec(3, 0.5, 0.5), ValueError, "^distraction class .* got 3"),
+    "class_list": (lambda: DistractionSpec([1], 0.5, 0.5), ValueError, r"^distraction class .* got \[1\]"),
+    "class_head_name": (lambda: DistractionSpec("head", 0.5, 0.5), ValueError, "^distraction class .* got 'head'"),
+    "class_head": (lambda: DistractionSpec(DetectionClass.HEAD, 0.5, 0.5), ValueError, "^distraction class"),
+    "mixed_dimensions": (_mixed_dimensions, EmbeddingDimensionError, "^embedding length 8 != stream dimension 4$"),
+    "dropout_43": (lambda: make_scenario("dropout_43", DIM), ValueError, "dropout_<k> with 1 <= k <= 42"),
+    "dropout_huge": (lambda: make_scenario("dropout_" + "9" * 5000, DIM), ValueError, "1 <= k <= 42"),
+    "dropout_07": (lambda: make_scenario("dropout_07", DIM), ValueError, "^bad dropout scenario 'dropout_07'"),
+    "random_dim_true": (lambda: random_crossings(1, embedding_dim=True), ValueError, "^embedding_dim must"),
+    "random_dim_2.5": (lambda: random_crossings(1, embedding_dim=2.5), ValueError, "^embedding_dim must"),
+    "random_actors_2.5": (lambda: random_crossings(1, actors=2.5), ValueError, "^actors must"),
+    "random_actors_true": (lambda: random_crossings(1, actors=True), ValueError, "^actors must"),
+    "random_seed_-1": (lambda: random_crossings(-1), ValueError, "^seed must be >= 0"),
+    "random_seed_2.5": (lambda: random_crossings(2.5), ValueError, "^seed must be an integer"),
+    "bench_reps_2.5": (lambda: bench([make_scenario("clean_entry", 4)], repetitions=2.5), ValueError,
+                       "^repetitions must be a positive integer, got 2.5"),
+    "bench_reps_true": (lambda: bench([make_scenario("clean_entry", 4)], repetitions=True), ValueError,
+                        "^repetitions must be a positive integer, got True"),
+    "assign_embedding": (lambda: setattr(_actor(np.ones(4)), "base_embedding", np.zeros(4)), FrozenInstanceError,
+                         "base_embedding"),
+    "write_embedding": (lambda: _actor(np.ones(4)).base_embedding.__setitem__(0, np.nan), ValueError, "read-only"),
+    "assign_seed": (lambda: setattr(make_scenario("clean_entry", 4), "seed", -1), FrozenInstanceError, "seed"),
+    "replace_seed": (lambda: replace(make_scenario("clean_entry", 4), seed=-1), ValueError, "^seed must be >= 0"),
+    "replace_actor": (lambda: replace(_actor(np.ones(4)), base_embedding=[0.0]), ValueError, "^actor 7: base emb"),
+}
+
+
 class TestSpecs:
     def test_actor_path_must_stay_in_frame(self):
         with pytest.raises(ValueError):
@@ -62,6 +116,24 @@ class TestSpecs:
     def test_distraction_rejects_head_class(self):
         with pytest.raises(ValueError):
             DistractionSpec(DetectionClass.HEAD, 0.5, 0.5)
+
+    @pytest.mark.parametrize("build, error, message", REFUSED.values(), ids=REFUSED.keys())
+    def test_stream_rules_refuse_at_the_spec(self, build, error, message):
+        with pytest.raises(error, match=message) as err:
+            build()
+        assert len(str(err.value)) < 1000
+
+    @pytest.mark.parametrize("spec", simulator_dataclasses(), ids=lambda spec: spec.__name__)
+    def test_every_spec_is_frozen(self, spec):
+        # Found by module, so a spec added later inherits the rule; the
+        # simulator also imports the mutable CountLedger, which is not its own.
+        assert spec.__dataclass_params__.frozen
+
+    def test_specs_store_what_the_stream_reads(self):
+        assert DistractionSpec("chair", 0.5, 0.5).class_label is DetectionClass.CHAIR
+        base = _actor([1, 2, 3]).base_embedding
+        assert base.dtype == np.float64 and base.tolist() == [1.0, 2.0, 3.0]
+        assert {ActorSpec, DistractionSpec, NoiseSpec, ScenarioSpec} <= set(simulator_dataclasses())
 
     def test_noise_ranges(self):
         with pytest.raises(ValueError):
@@ -217,8 +289,8 @@ class TestGenerate:
         assert run_frames(frames, EngineConfig(layout=layout)).events == []
 
     def test_ground_truth_ignores_noise(self):
-        noisy = make_scenario("clean_entry", DIM)
-        noisy.noise = NoiseSpec(miss_probability=0.3, center_jitter_sigma=0.05)
+        noise = NoiseSpec(miss_probability=0.3, center_jitter_sigma=0.05)
+        noisy = replace(make_scenario("clean_entry", DIM), noise=noise)
         _, truth = generate(noisy)
         assert (truth.final_ins, truth.final_outs) == (1, 0)
 
@@ -230,7 +302,22 @@ class TestGenerate:
         assert len(frames[gap[0] - 1].detections) > 0
 
 
+CANNED = [name for name in catalog_names() if name != "dropout_<k>"] + ["dropout_1", "dropout_42"]
+ROUND_TRIP = {
+    **{f"{name}-{dim}": lambda name=name, dim=dim: make_scenario(name, dim) for name in CANNED for dim in (8, 128)},
+    **{f"random_crossings_{seed}-{dim}": lambda seed=seed, dim=dim: random_crossings(seed, 6, embedding_dim=dim)
+       for seed in range(4) for dim in (8, 128)},
+}
+
+
 class TestEndToEnd:
+    @pytest.mark.parametrize("build", ROUND_TRIP.values(), ids=ROUND_TRIP.keys())
+    def test_every_written_stream_is_read_back(self, build):
+        # What the simulator writes, the engine reads: no StreamError, every frame counted.
+        spec = build()
+        result = run(io.StringIO(render(generate(spec)[0])))
+        assert result.frames == spec.duration_frames
+
     @pytest.mark.parametrize(
         "name", ["clean_entry", "clean_exit", "crossing_pair", "multi_3", "distraction_field"]
     )
