@@ -10,7 +10,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .counter import write_events
+from .counter import check_count, write_events
 from .engine import ConfigError, EngineConfig, bench, calibrate, run
 from .ingest import DEFAULT_EMBEDDING_DIM, StreamError, write_stream
 from .simulator import generate, make_scenario, write_ground_truth
@@ -95,8 +95,7 @@ def _cmd_bench(args, config: EngineConfig) -> int:
 
 
 def _cmd_calibrate(args, config: EngineConfig) -> int:
-    if args.top < 0:
-        raise ValueError(f"--top must be >= 0 (0 = all rows), got {args.top}")
+    check_count("--top", args.top, 0)  # 0 shows all rows
     names = [n for n in args.scenarios.split(",") if n]
     seeds = [int(s) for s in args.seeds.split(",") if s]
     rows = calibrate(_read_json(args.grid, "grid"), _scenarios(names, config), seeds, config)

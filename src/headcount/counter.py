@@ -10,8 +10,10 @@ scheme immune to the oscillating double counts that plague one-line systems.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import reprlib
+import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -46,20 +48,18 @@ def is_number_row(row) -> bool:
     return isinstance(row, (list, tuple)) and all(map(is_number_type, set(map(type, row))))
 
 
-def check_numbers(obj, names: tuple = (), counts: tuple = ()) -> None:
-    """Raise ValueError, led by the field's name, for the first of `obj`'s
-    number fields `names` or count fields `counts` that breaks the rule."""
-    for name in names + counts:
-        value, count = getattr(obj, name), name in counts
-        if not (is_count(value) if count else is_number_type(type(value))):
-            raise ValueError(f"{name} must be {'an integer' if count else 'a number'}, got {quote.repr(value)}")
-
-
 def check_count(name: str, value, least: int) -> None:
-    """Raise ValueError, led by `name`, unless an argument is a count of at least `least` (0 or 1)."""
+    """Raise ValueError, led by `name`, unless a field or argument is a count of at least `least` (0 or 1)."""
     if not is_count(value) or value < least:
         kind = "positive" if least else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {quote.repr(value)}")
+
+
+def check_number(name: str, value, low: float = -math.inf, high: float = math.inf) -> None:
+    """Raise ValueError, led by `name`, unless a field or argument is a finite number, one a
+    float holds (no NaN, no inf, no larger integer), with low <= value <= high."""
+    if not (is_number_type(type(value)) and low <= value <= high and abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number in [{low}, {high}], got {quote.repr(value)}")
 
 
 class Region(Enum):
@@ -87,7 +87,8 @@ class RegionLayout:
     orientation: Orientation = Orientation.OUTSIDE_TOP
 
     def __post_init__(self):
-        check_numbers(self, ("line_ab", "line_bc"))
+        check_number("line_ab", self.line_ab, 0, 1)
+        check_number("line_bc", self.line_bc, 0, 1)
         try:
             object.__setattr__(self, "orientation", Orientation(self.orientation))
         except ValueError:
@@ -251,9 +252,7 @@ def accuracy(total_observations: int, error: int) -> AccuracyReport:
     Reported to two decimals. Pooling several monitoring periods means
     summing both totals and errors before calling this.
     """
-    if total_observations <= 0:
-        raise ValueError("total_observations must be positive")
-    if error < 0:
-        raise ValueError("error must be non-negative")
+    check_count("total_observations", total_observations, 1)
+    check_count("error", error, 0)
     pct = round((total_observations - error) / total_observations * 100.0, 2)
     return AccuracyReport(total_observations, error, pct)

@@ -23,7 +23,7 @@ from .counter import (
     CrossingEvent,
     RegionLayout,
     check_count,
-    check_numbers,
+    check_number,
     classify_region,
     quote,
     tally,
@@ -65,11 +65,9 @@ class EngineConfig:
     embedding_dim: Optional[int] = None
 
     def __post_init__(self):
-        check_numbers(self, ("min_confidence",), () if self.embedding_dim is None else ("embedding_dim",))
-        if not 0.0 <= self.min_confidence <= 1.0:
-            raise ConfigError("min_confidence must be in [0, 1]")
-        if self.embedding_dim is not None and self.embedding_dim < 1:
-            raise ConfigError("embedding_dim must be positive")
+        check_number("min_confidence", self.min_confidence, 0, 1)
+        if self.embedding_dim is not None:
+            check_count("embedding_dim", self.embedding_dim, 1)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .counter import is_count, is_number_row, is_number_type, quote, write_lines
+from .counter import check_count, check_number, is_count, is_number_row, quote, write_lines
 
 DEFAULT_EMBEDDING_DIM = 1024
 
@@ -202,10 +202,10 @@ def classify_lighting(
         raise ValueError(f"expected an (N, 3) array of RGB samples, N >= 1, got {pixels.shape}")
     if pixels.min() < 0 or pixels.max() > 255:
         raise ValueError("channel values must be in [0, 255]")
-    if channel_tolerance < 0:
-        raise ValueError("channel_tolerance must be >= 0")
-    if not 0.0 < agreement_fraction <= 1.0:
-        raise ValueError("agreement_fraction must be in (0, 1]")
+    check_number("channel_tolerance", channel_tolerance, 0)
+    check_number("agreement_fraction", agreement_fraction, 0, 1)
+    if agreement_fraction == 0:  # the open bound: every frame would read as night
+        raise ValueError(f"agreement_fraction must be above 0, got {quote.repr(agreement_fraction)}")
     spread = pixels.max(axis=1) - pixels.min(axis=1)
     agreeing = int(np.count_nonzero(spread <= channel_tolerance))
     if agreeing / len(pixels) >= agreement_fraction:
@@ -218,8 +218,8 @@ def sample_pixel_grid(image, grid: tuple[int, int] = (10, 10)) -> np.ndarray:
     img = np.asarray(image)
     if img.ndim != 3 or img.shape[2] < 3:
         raise ValueError(f"expected an H x W x 3 image, got shape {img.shape}")
-    if grid[0] < 1 or grid[1] < 1:
-        raise ValueError("grid must have at least one row and one column")
+    check_count("grid rows", grid[0], 1)
+    check_count("grid columns", grid[1], 1)
     rows = np.linspace(0, img.shape[0] - 1, grid[0]).round().astype(int)
     cols = np.linspace(0, img.shape[1] - 1, grid[1]).round().astype(int)
     return img[np.ix_(rows, cols)][..., :3].reshape(-1, 3)
@@ -231,8 +231,7 @@ def filter_heads(frame: FrameRecord, min_confidence: float) -> np.ndarray:
     Distraction classes (chair, trolley, bag) are dropped regardless of
     confidence; detections are never relabeled.
     """
-    if not is_number_type(type(min_confidence)) or not 0.0 <= min_confidence <= 1.0:
-        raise ValueError(f"min_confidence must be a number in [0, 1], got {quote.repr(min_confidence)}")
+    check_number("min_confidence", min_confidence, 0, 1)
     dets = frame.detections
     rows = enumerate(zip(dets.labels, dets.confidences.tolist()))
     kept = [i for i, (label, conf) in rows if label is DetectionClass.HEAD and conf >= min_confidence]

@@ -10,7 +10,7 @@ deterministic for a fixed scenario, so streams replay byte-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional
 
@@ -25,7 +25,7 @@ from .counter import (
     RegionLayout,
     accuracy,
     check_count,
-    check_numbers,
+    check_number,
     is_count,
     is_number_row,
     quote,
@@ -55,13 +55,11 @@ class NoiseSpec:
     center_jitter_sigma: float = 0.0
 
     def __post_init__(self):
-        check_numbers(self, ("miss_probability", "embedding_noise_sigma", "center_jitter_sigma"))
-        if not 0.0 <= self.miss_probability < 1.0:  # `not`: a NaN fails too
-            raise ValueError("miss_probability must be in [0, 1)")
-        if not self.embedding_noise_sigma >= 0.0:
-            raise ValueError("embedding_noise_sigma must be >= 0")
-        if not self.center_jitter_sigma >= 0.0:
-            raise ValueError("center_jitter_sigma must be >= 0")
+        check_number("miss_probability", self.miss_probability, 0, 1)
+        if self.miss_probability == 1:  # the open bound: no detection would ever be emitted
+            raise ValueError(f"miss_probability must be below 1, got {quote.repr(self.miss_probability)}")
+        check_number("embedding_noise_sigma", self.embedding_noise_sigma, 0)
+        check_number("center_jitter_sigma", self.center_jitter_sigma, 0)
 
 
 @dataclass(frozen=True)
@@ -80,18 +78,21 @@ class ActorSpec:
     missed_frames: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        check_numbers(self, (), ("actor_id",))
+        check_count("actor_id", self.actor_id, 0)
         if not self.path:
             raise ValueError(f"actor {self.actor_id}: path needs at least one waypoint")
-        for f, x, y in self.path:
-            if not is_count(f) or not is_number_row((x, y)):
-                raise ValueError(f"actor {self.actor_id}: waypoint {quote.repr((f, x, y))} must be an integer "
+        for waypoint in self.path:
+            if not (is_number_row(waypoint) and len(waypoint) == 3 and is_count(waypoint[0])):
+                raise ValueError(f"actor {self.actor_id}: waypoint {quote.repr(waypoint)} must be an integer "
                                  "frame and two numbers")
-            if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-                raise ValueError(f"actor {self.actor_id}: waypoint ({x}, {y}) at frame {f} leaves the frame")
+            if not (0.0 <= waypoint[1] <= 1.0 and 0.0 <= waypoint[2] <= 1.0):
+                raise ValueError(f"actor {self.actor_id}: waypoint {quote.repr(waypoint)} leaves the frame")
         frames = [wp[0] for wp in self.path]
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ValueError(f"actor {self.actor_id}: waypoint frames must strictly increase")
+        if not (isinstance(self.missed_frames, frozenset) and all(map(is_count, self.missed_frames))):
+            raise ValueError(f"actor {self.actor_id}: missed_frames must be a frozenset of integer frames, "
+                             f"got {quote.repr(self.missed_frames)}")
         try:  # the stream's own rules, on one head row
             row = Detections.from_rows([(DetectionClass.HEAD, 1.0, (0, 0, 1, 1), self.base_embedding)]).embeddings
         except (ValueError, OverflowError) as exc:  # overflow: an integer beyond float range
@@ -117,10 +118,8 @@ class DistractionSpec:
         if label in (None, DetectionClass.HEAD):
             raise ValueError(f"distraction class must be a non-head class, got {quote.repr(self.class_label)}")
         object.__setattr__(self, "class_label", label)
-        check_numbers(self, ("x", "y", "confidence"))
         for name in ("x", "y", "confidence"):
-            if not 0.0 <= getattr(self, name) <= 1.0:  # `not`: a NaN fails too
-                raise ValueError(f"{name} must be in [0, 1], got {quote.repr(getattr(self, name))}")
+            check_number(name, getattr(self, name), 0, 1)
 
 
 @dataclass(frozen=True)
@@ -128,16 +127,20 @@ class ScenarioSpec:
     name: str
     seed: int
     duration_frames: int
-    actors: list[ActorSpec] = field(default_factory=list)
-    distractions: list[DistractionSpec] = field(default_factory=list)
+    actors: tuple[ActorSpec, ...] = ()  # a list or tuple, stored as a tuple
+    distractions: tuple[DistractionSpec, ...] = ()
     noise: NoiseSpec = NoiseSpec()
 
     def __post_init__(self):
-        check_numbers(self, (), ("seed", "duration_frames"))
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {quote.repr(self.seed)}")
-        if self.duration_frames <= 0:
-            raise ValueError("duration_frames must be positive")
+        check_count("seed", self.seed, 0)
+        check_count("duration_frames", self.duration_frames, 1)
+        for name, kind in (("actors", ActorSpec), ("distractions", DistractionSpec)):
+            entries = getattr(self, name)
+            if not (isinstance(entries, (list, tuple)) and all(isinstance(entry, kind) for entry in entries)):
+                raise ValueError(f"{name} must be a list or tuple of {kind.__name__}s, got {quote.repr(entries)}")
+            object.__setattr__(self, name, tuple(entries))
+        if not isinstance(self.noise, NoiseSpec):
+            raise ValueError(f"noise must be a NoiseSpec, got {quote.repr(self.noise)}")
 
 
 @dataclass(frozen=True)
@@ -362,6 +365,8 @@ def random_crossings(
     """
     scenario = ScenarioSpec(f"random_crossings_{seed}", seed, 1, noise=noise)  # the seed's rule, before numpy's
     check_count("actors", actors, 0)
+    check_count("crossing_frames", crossing_frames, 1)
+    check_count("stagger", stagger, 0)
     check_count("embedding_dim", embedding_dim, 1)
     rng = np.random.default_rng(seed)
     specs: list[ActorSpec] = []

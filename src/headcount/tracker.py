@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .counter import Region, check_numbers
+from .counter import Region, check_count, check_number, quote
 
 
 @dataclass(frozen=True)
@@ -30,13 +30,11 @@ class TrackerConfig:
 
     def __post_init__(self):
         # Every message leads with the field's name: calibrate reports it as grid.<field>.
-        check_numbers(self, ("feature_threshold", "spatial_threshold"), ("miss_limit",))
-        if not self.feature_threshold > 0:  # `not >`: a NaN fails too
-            raise ValueError("feature_threshold must be > 0")
-        if not self.spatial_threshold > 0:
-            raise ValueError("spatial_threshold must be > 0")
-        if self.miss_limit < 0:
-            raise ValueError("miss_limit must be >= 0")
+        for name in ("feature_threshold", "spatial_threshold"):
+            check_number(name, getattr(self, name), 0)
+            if getattr(self, name) == 0:  # the open bound: a zero threshold matches nothing
+                raise ValueError(f"{name} must be above 0, got {quote.repr(getattr(self, name))}")
+        check_count("miss_limit", self.miss_limit, 0)
 
 
 @dataclass

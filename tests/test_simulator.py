@@ -1,13 +1,14 @@
 import io
+import re
 from dataclasses import FrozenInstanceError, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 from headcount import counter, engine, simulator
-from headcount.counter import CountLedger, EventKind, Orientation, RegionLayout
+from headcount.counter import CountLedger, EventKind, Orientation, RegionLayout, quote
 from headcount.engine import EngineConfig, bench, run, run_frames
-from headcount.ingest import DetectionClass, EmbeddingDimensionError, write_stream
+from headcount.ingest import DetectionClass, EmbeddingDimensionError, sample_pixel_grid, write_stream
 from headcount.simulator import (
     ActorIntent,
     ActorSpec,
@@ -21,6 +22,7 @@ from headcount.simulator import (
     random_crossings,
     write_ground_truth,
 )
+from headcount.tracker import TrackerConfig
 
 DIM = 16
 
@@ -85,8 +87,43 @@ REFUSED = {
     "random_dim_2.5": (lambda: random_crossings(1, embedding_dim=2.5), ValueError, "^embedding_dim must"),
     "random_actors_2.5": (lambda: random_crossings(1, actors=2.5), ValueError, "^actors must"),
     "random_actors_true": (lambda: random_crossings(1, actors=True), ValueError, "^actors must"),
-    "random_seed_-1": (lambda: random_crossings(-1), ValueError, "^seed must be >= 0"),
-    "random_seed_2.5": (lambda: random_crossings(2.5), ValueError, "^seed must be an integer"),
+    "random_seed_-1": (lambda: random_crossings(-1), ValueError, "^seed must be a non-negative integer, got -1$"),
+    "random_seed_2.5": (lambda: random_crossings(2.5), ValueError, "^seed must be a non-negative integer, got 2.5$"),
+    "random_crossing_frames_2.5": (lambda: random_crossings(1, crossing_frames=2.5), ValueError,
+                                   "^crossing_frames must be a positive integer, got 2.5$"),
+    "random_crossing_frames_0": (lambda: random_crossings(1, crossing_frames=0), ValueError,
+                                 "^crossing_frames must be a positive integer, got 0$"),
+    "random_crossing_frames_-5": (lambda: random_crossings(1, crossing_frames=-5), ValueError,
+                                  "^crossing_frames must be a positive integer, got -5$"),
+    "random_stagger_true": (lambda: random_crossings(1, stagger=True), ValueError,
+                            "^stagger must be a non-negative integer, got True$"),
+    "random_stagger_-50": (lambda: random_crossings(1, stagger=-50), ValueError,
+                           "^stagger must be a non-negative integer, got -50$"),
+    "noise_jitter_inf": (lambda: NoiseSpec(center_jitter_sigma=float("inf")), ValueError,
+                         r"^center_jitter_sigma must be a finite number in \[0, inf\], got inf$"),
+    "noise_embedding_inf": (lambda: NoiseSpec(embedding_noise_sigma=float("inf")), ValueError,
+                            r"^embedding_noise_sigma must be a finite number in \[0, inf\], got inf$"),
+    "noise_miss_1": (lambda: NoiseSpec(miss_probability=1), ValueError, "^miss_probability must be below 1, got 1$"),
+    "accuracy_fraction": (lambda: counter.accuracy(10.5, True), ValueError,
+                          "^total_observations must be a positive integer, got 10.5$"),
+    "accuracy_bool_error": (lambda: counter.accuracy(10, True), ValueError,
+                            "^error must be a non-negative integer, got True$"),
+    "pixel_grid_2.5": (lambda: sample_pixel_grid(np.zeros((4, 4, 3)), (2.5, 2)), ValueError,
+                       "^grid rows must be a positive integer, got 2.5$"),
+    "waypoint_pair": (lambda: ActorSpec(7, [(0, 0.5)], np.ones(4)), ValueError,
+                      r"^actor 7: waypoint \(0, 0.5\) must be an integer frame and two numbers$"),
+    "missed_frames_int": (lambda: ActorSpec(7, [(0, 0.5, 0.5)], np.ones(4), missed_frames=5), ValueError,
+                          "^actor 7: missed_frames must be a frozenset of integer frames, got 5$"),
+    "missed_frames_fraction": (lambda: ActorSpec(7, [(0, 0.5, 0.5)], np.ones(4), missed_frames=frozenset({1.5})),
+                               ValueError, r"^actor 7: missed_frames must be a frozenset of integer frames, got "
+                               r"frozenset\(\{1.5\}\)$"),
+    "actors_none": (lambda: ScenarioSpec("x", 1, 2, actors=[None]), ValueError,
+                    r"^actors must be a list or tuple of ActorSpecs, got \[None\]$"),
+    "distractions_none": (lambda: ScenarioSpec("x", 1, 2, distractions=[None]), ValueError,
+                          r"^distractions must be a list or tuple of DistractionSpecs, got \[None\]$"),
+    "noise_none": (lambda: ScenarioSpec("x", 1, 2, noise=None), ValueError, "^noise must be a NoiseSpec, got None$"),
+    "actors_append": (lambda: make_scenario("clean_entry", 4).actors.append(_actor(np.ones(4))), AttributeError,
+                      "append"),
     "bench_reps_2.5": (lambda: bench([make_scenario("clean_entry", 4)], repetitions=2.5), ValueError,
                        "^repetitions must be a positive integer, got 2.5"),
     "bench_reps_true": (lambda: bench([make_scenario("clean_entry", 4)], repetitions=True), ValueError,
@@ -95,7 +132,8 @@ REFUSED = {
                          "base_embedding"),
     "write_embedding": (lambda: _actor(np.ones(4)).base_embedding.__setitem__(0, np.nan), ValueError, "read-only"),
     "assign_seed": (lambda: setattr(make_scenario("clean_entry", 4), "seed", -1), FrozenInstanceError, "seed"),
-    "replace_seed": (lambda: replace(make_scenario("clean_entry", 4), seed=-1), ValueError, "^seed must be >= 0"),
+    "replace_seed": (lambda: replace(make_scenario("clean_entry", 4), seed=-1), ValueError,
+                     "^seed must be a non-negative integer, got -1$"),
     "replace_actor": (lambda: replace(_actor(np.ones(4)), base_embedding=[0.0]), ValueError, "^actor 7: base emb"),
 }
 
@@ -147,7 +185,7 @@ class TestSpecs:
 
     def test_scenario_seed_non_negative(self):
         # numpy's own refusal names neither the field nor the spec
-        with pytest.raises(ValueError, match="^seed must be >= 0"):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer, got -1$"):
             ScenarioSpec("x", seed=-1, duration_frames=3)
 
     @pytest.mark.parametrize(
@@ -178,6 +216,51 @@ class TestSpecs:
         for value in (True, "0.5", float("nan")) + ((2.5,) if field.type == "int" else ()):
             with pytest.raises(ValueError, match=f"^{field.name} must"):
                 spec(**{**base, field.name: value})
+
+
+# A valid instance of every config and spec with number fields.
+NUMBER_HOLDERS = [
+    TrackerConfig(),
+    EngineConfig(embedding_dim=8),
+    RegionLayout(),
+    NoiseSpec(),
+    ActorSpec(7, [(0, 0.5, 0.5)], np.ones(4)),
+    DistractionSpec(DetectionClass.CHAIR, 0.5, 0.5),
+    ScenarioSpec("x", seed=1, duration_frames=2),
+]
+HELD_FIELDS = [(holder, f.name) for holder in NUMBER_HOLDERS for f in fields(holder)
+               if type(getattr(holder, f.name)) in (int, float)]
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("holder, name", HELD_FIELDS,
+                             ids=[f"{type(holder).__name__}.{name}" for holder, name in HELD_FIELDS])
+    def test_every_number_field_is_finite_and_named(self, holder, name):
+        # Found with dataclasses.fields on a valid instance, so a number field
+        # added later inherits the rule: a bool, a string, a NaN and both
+        # infinities are refused through `replace`, led by the field's name
+        # (an actor's other fields also by the actor).
+        for value in (True, "1", float("nan"), float("inf"), -float("inf")):
+            lead = name if name == "actor_id" or not isinstance(holder, ActorSpec) else f"actor 7: {name}"
+            message = f"^{re.escape(lead)} must be .*, got {re.escape(quote.repr(value))}$"
+            with pytest.raises(ValueError, match=message) as err:
+                replace(holder, **{name: value})
+            assert len(str(err.value)) < 1000
+
+    def test_sweep_covers_every_holder(self):
+        assert {type(holder) for holder, _ in HELD_FIELDS} == {type(holder) for holder in NUMBER_HOLDERS}
+
+    def test_specs_hold_tuples(self):
+        actor = _actor(np.ones(4))
+        spec = ScenarioSpec("x", seed=1, duration_frames=2, actors=[actor], distractions=[])
+        assert spec.actors == (actor,) and spec.distractions == ()
+        assert len(replace(spec, actors=[actor, actor]).actors) == 2
+
+    def test_large_finite_thresholds_are_accepted(self):
+        # A threshold past every distance gates nothing, as an infinite one used to.
+        assert TrackerConfig(feature_threshold=2.0, spatial_threshold=1e308).spatial_threshold == 1e308
+        with pytest.raises(ValueError, match="^feature_threshold must be a finite number"):
+            TrackerConfig(feature_threshold=10**400)
 
 
 class TestCatalog:
