@@ -45,12 +45,12 @@ print(f"frame 0 detections {len(parsed[0].detections)} -> heads kept at rows {ke
 kept = hc.filter_heads(parsed[1], min_confidence=0.5)
 print(f"frame 1 head at confidence 0.40 with floor 0.5 -> kept {len(kept)}")
 
-# --- the IR night rule: grayscale frames have equal channels per pixel
+# --- the IR night rule: grayscale frames have equal channels per pixel; night when 99 of
+#     the 100 pixels on a 10 x 10 grid have channels within 2 of 255 of each other
 rng = np.random.default_rng(0)
 gray = rng.integers(0, 256, (48, 64))
 night_image = np.stack([gray, gray, gray], axis=-1)
 day_image = rng.integers(0, 256, (48, 64, 3))
 for name, image in [("night (IR)", night_image), ("day (color)", day_image)]:
-    samples = hc.sample_pixel_grid(image, (10, 10))
-    mode = hc.classify_lighting(samples, channel_tolerance=2, agreement_fraction=0.99)
+    mode = hc.classify_lighting(image)
     print(f"{name:12s} -> {mode}")

@@ -51,7 +51,6 @@ from .ingest import (
     classify_lighting,
     filter_heads,
     parse_stream,
-    sample_pixel_grid,
     serialize_frame,
     validate_embedding,
     write_stream,

@@ -49,7 +49,7 @@ def _write_run(args, result, error: str | None = None) -> None:
 
 def _cmd_run(args, config: EngineConfig) -> int:
     try:
-        with open(args.input, "r", encoding="utf-8") as fp:
+        with open(args.input, "rb") as fp:  # bytes: the parser decodes each line and names a bad one
             result = run(fp, config)
     except StreamError as exc:
         _write_run(args, exc.result, str(exc))

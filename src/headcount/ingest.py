@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
-from .counter import check_count, check_number, is_count, is_number_row, quote, write_lines
+from .counter import check_number, is_count, is_number_row, quote, write_lines
 
 DEFAULT_EMBEDDING_DIM = 1024
 
@@ -184,45 +184,27 @@ class FrameRecord:
                 raise ValueError(f"lighting must be 'day' or 'night', got {quote.repr(self.lighting)}") from None
 
 
-def classify_lighting(
-    samples: np.ndarray,
-    channel_tolerance: int = 2,
-    agreement_fraction: float = 0.99,
-) -> LightingMode:
-    """Decide day vs night from sampled pixels, an (N, 3) array of RGB values.
-
-    IR night mode produces grayscale frames where the three channels of every
-    pixel are equal. Compressed video breaks exact equality, so a sample
-    counts as grayscale when its channel spread is within `channel_tolerance`,
-    and the frame is night when at least `agreement_fraction` of samples
-    agree. With tolerance 0 and fraction 1.0 this reduces to the exact rule.
-    """
-    pixels = np.asarray(samples)
-    if pixels.ndim != 2 or pixels.shape[1] != 3 or len(pixels) == 0:
-        raise ValueError(f"expected an (N, 3) array of RGB samples, N >= 1, got {pixels.shape}")
-    if pixels.min() < 0 or pixels.max() > 255:
-        raise ValueError("channel values must be in [0, 255]")
-    check_number("channel_tolerance", channel_tolerance, 0)
-    check_number("agreement_fraction", agreement_fraction, 0, 1)
-    if agreement_fraction == 0:  # the open bound: every frame would read as night
-        raise ValueError(f"agreement_fraction must be above 0, got {quote.repr(agreement_fraction)}")
-    spread = pixels.max(axis=1) - pixels.min(axis=1)
-    agreeing = int(np.count_nonzero(spread <= channel_tolerance))
-    if agreeing / len(pixels) >= agreement_fraction:
-        return LightingMode.NIGHT
-    return LightingMode.DAY
+# The IR day/night rule: a frame is night when at least LIGHTING_AGREEMENT of the pixels on an evenly
+# spaced LIGHTING_GRID x LIGHTING_GRID sample have a channel spread of at most LIGHTING_TOLERANCE of 255.
+LIGHTING_GRID = 10
+LIGHTING_TOLERANCE = 2
+LIGHTING_AGREEMENT = 0.99
 
 
-def sample_pixel_grid(image, grid: tuple[int, int] = (10, 10)) -> np.ndarray:
-    """Sample an H x W x 3 image on a uniform grid, row by row, as an (N, 3) array."""
+def classify_lighting(image) -> LightingMode:
+    """Day or night for an H x W x 3 RGB image (channels past the third are ignored) by the IR rule:
+    IR night frames are grayscale, equal channels on every pixel up to compression's small spread.
+    Only the grid's pixels are read; a ValueError quotes the dtype and shape of an image refused."""
     img = np.asarray(image)
-    if img.ndim != 3 or img.shape[2] < 3:
-        raise ValueError(f"expected an H x W x 3 image, got shape {img.shape}")
-    check_count("grid rows", grid[0], 1)
-    check_count("grid columns", grid[1], 1)
-    rows = np.linspace(0, img.shape[0] - 1, grid[0]).round().astype(int)
-    cols = np.linspace(0, img.shape[1] - 1, grid[1]).round().astype(int)
-    return img[np.ix_(rows, cols)][..., :3].reshape(-1, 3)
+    got = f"got dtype {img.dtype} and shape {img.shape}"
+    if not (img.ndim == 3 and img.shape[0] and img.shape[1] and img.shape[2] >= 3 and img.dtype.kind in "iuf"):
+        raise ValueError(f"expected an H x W x 3 image of numbers, H and W >= 1, {got}")
+    rows, cols = (np.linspace(0, size - 1, LIGHTING_GRID).round().astype(int) for size in img.shape[:2])
+    pixels = img[np.ix_(rows, cols)][..., :3].reshape(-1, 3)
+    if not np.all((pixels >= 0) & (pixels <= 255)):  # NaN fails both comparisons
+        raise ValueError(f"sampled channel values must be in [0, 255], {got}")
+    agreeing = np.count_nonzero(pixels.max(axis=1) - pixels.min(axis=1) <= LIGHTING_TOLERANCE)
+    return LightingMode.NIGHT if agreeing / len(pixels) >= LIGHTING_AGREEMENT else LightingMode.DAY
 
 
 def filter_heads(frame: FrameRecord, min_confidence: float) -> np.ndarray:

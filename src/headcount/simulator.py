@@ -72,13 +72,16 @@ class ActorSpec:
     """
 
     actor_id: int
-    path: list[tuple[int, float, float]]
+    path: tuple[tuple[int, float, float], ...]  # a list or tuple, stored as a tuple of tuples
     base_embedding: np.ndarray
     intent: ActorIntent = ActorIntent.ENTER
     missed_frames: frozenset[int] = frozenset()
 
     def __post_init__(self):
         check_count("actor_id", self.actor_id, 0)
+        if not isinstance(self.path, (list, tuple)):
+            raise ValueError(f"actor {self.actor_id}: path must be a list or tuple of (frame, x, y) waypoints, "
+                             f"got {quote.repr(self.path)}")
         if not self.path:
             raise ValueError(f"actor {self.actor_id}: path needs at least one waypoint")
         for waypoint in self.path:
@@ -87,6 +90,7 @@ class ActorSpec:
                                  "frame and two numbers")
             if not (0.0 <= waypoint[1] <= 1.0 and 0.0 <= waypoint[2] <= 1.0):
                 raise ValueError(f"actor {self.actor_id}: waypoint {quote.repr(waypoint)} leaves the frame")
+        object.__setattr__(self, "path", tuple(map(tuple, self.path)))
         frames = [wp[0] for wp in self.path]
         if any(b <= a for a, b in zip(frames, frames[1:])):
             raise ValueError(f"actor {self.actor_id}: waypoint frames must strictly increase")

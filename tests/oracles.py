@@ -143,3 +143,26 @@ def miss_count_trace(frames, miss_limit):
         previous = frame_id
         out.append((created, matched, evicted))
     return out
+
+
+def ir_lighting_mode(image):
+    """Literal re-trace of the IR day/night rule, one sampled pixel at a time.
+
+    `image` is nested lists, rows of pixels of at least three channel values.
+    Ten row indices and ten column indices are spread evenly from the first
+    to the last, each rounded to the nearest index (no spacing ever lands on
+    a half). A sampled pixel agrees when its first three channels differ by
+    at most 2. Returns "night" when at least 99 of the 100 sampled pixels
+    agree, else "day".
+    """
+    height = len(image)
+    width = len(image[0])
+    rows = [round(k * (height - 1) / 9) for k in range(10)]
+    cols = [round(k * (width - 1) / 9) for k in range(10)]
+    agreeing = 0
+    for r in rows:
+        for c in cols:
+            red, green, blue = image[r][c][0], image[r][c][1], image[r][c][2]
+            if max(red, green, blue) - min(red, green, blue) <= 2:
+                agreeing += 1
+    return "night" if agreeing >= 99 else "day"

@@ -1,8 +1,11 @@
+import io
 import json
 
 import pytest
 
 from headcount.cli import main
+from headcount.counter import write_events
+from headcount.engine import run
 
 
 @pytest.fixture()
@@ -108,6 +111,27 @@ class TestRun:
             assert report["ledger"] == {"ins": 1, "outs": 0, "occupancy": 1}
             assert report["frames"] == 2
             assert report["error"].startswith("line 3: ") and reason in report["error"]
+
+    def test_line_that_is_not_utf8_keeps_counted_frames(self, tmp_path, capsys):
+        # The file is read as bytes, so the parser decodes each line itself: a stray
+        # 0xff byte is a stream error on its own line, and the 40 frames before it are written out.
+        stream = tmp_path / "stream.jsonl"
+        assert main(["simulate", "--scenario", "crossing_pair", "--out", str(stream), "--embedding-dim", "8"]) == 0
+        lines = stream.read_bytes().splitlines(keepends=True)
+        lines[40] = lines[40][:4] + b"\xff" + lines[40][4:]
+        stream.write_bytes(b"".join(lines))
+        events_out, report_out = tmp_path / "events.jsonl", tmp_path / "report.json"
+        code = main(["run", "--input", str(stream), "--events-out", str(events_out), "--report-out", str(report_out)])
+        assert code == 1
+        assert "stream error: line 41: invalid UTF-8" in capsys.readouterr().err
+        counted = run(lines[:40])
+        assert len(counted.events) == 2
+        expected = io.StringIO()
+        write_events(counted.events, expected)
+        assert events_out.read_text() == expected.getvalue()
+        report = json.loads(report_out.read_text())
+        assert report["frames"] == 40
+        assert report["error"].startswith("line 41: invalid UTF-8")
 
     def test_missing_input_is_input_error(self, tmp_path):
         assert main(["run", "--input", str(tmp_path / "absent.jsonl")]) == 1

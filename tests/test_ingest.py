@@ -1,5 +1,6 @@
 import io
 import json
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -19,13 +20,13 @@ from headcount.ingest import (
     classify_lighting,
     filter_heads,
     parse_stream,
-    sample_pixel_grid,
     serialize_frame,
     validate_embedding,
     write_stream,
 )
 from headcount.engine import run, run_frames
 from headcount.simulator import generate, make_scenario
+from oracles import ir_lighting_mode
 
 
 def head(conf=0.95, box=(0.4, 0.4, 0.5, 0.5), emb=(1.0, 0.0)):
@@ -159,72 +160,93 @@ class TestDetectionRecord:
             Detections.from_rows([("dog", 0.9, (0.1, 0.1, 0.2, 0.2), None)])
 
 
+# Images the lighting rule refuses, each with a ValueError quoting its dtype and shape.
+REFUSED_IMAGES = {
+    "no_channels": np.zeros((5, 5)),
+    "two_channels": np.ones((4, 2, 2)),
+    "zero_height": np.zeros((0, 4, 3)),
+    "zero_width": np.zeros((4, 0, 3)),
+    "strings": np.full((4, 4, 3), "a"),
+    "bools": np.ones((4, 4, 3), dtype=bool),
+    "above_255": np.full((4, 4, 3), 256),
+    "below_0": np.full((4, 4, 3), -1),
+    "nan": np.full((4, 4, 3), np.nan),
+}
+
+
+def grey_image(shape=(10, 10), level=50):
+    return np.full((*shape, 3), level)
+
+
 class TestClassifyLighting:
     def test_pure_grayscale_is_night(self):
-        samples = np.full((100, 3), 77)
-        assert classify_lighting(samples, 0, 0.99) is LightingMode.NIGHT
+        assert classify_lighting(grey_image(level=77)) is LightingMode.NIGHT
 
     def test_saturated_color_is_day(self):
-        samples = np.tile([200, 40, 40], (100, 1))
-        assert classify_lighting(samples, 2, 0.99) is LightingMode.DAY
+        assert classify_lighting(np.tile([200, 40, 40], (10, 10, 1))) is LightingMode.DAY
 
     def test_agreement_fraction_boundary(self):
-        samples = np.array([(50, 50, 50)] * 98 + [(80, 50, 60)] * 2)
-        # Direct enumeration: 98 of 100 samples are within tolerance 2.
-        agreeing = sum(1 for r, g, b in samples.tolist() if max(r, g, b) - min(r, g, b) <= 2)
+        # On a 10 x 10 image every pixel is sampled: 98 of 100 agreeing is day, 99 is night.
+        img = grey_image()
+        img[0, 0] = img[9, 9] = (80, 50, 60)
+        agreeing = sum(1 for r, g, b in img.reshape(-1, 3).tolist() if max(r, g, b) - min(r, g, b) <= 2)
         assert agreeing == 98
-        assert classify_lighting(samples, 2, 0.99) is LightingMode.DAY
-        assert classify_lighting(samples, 2, 0.95) is LightingMode.NIGHT
+        assert classify_lighting(img) is LightingMode.DAY
+        img[9, 9] = (50, 50, 50)
+        assert classify_lighting(img) is LightingMode.NIGHT
 
-    def test_exact_rule_with_zero_tolerance_full_agreement(self):
-        exact = [(10, 10, 10), (200, 200, 200)]
-        assert classify_lighting(np.array(exact), 0, 1.0) is LightingMode.NIGHT
-        assert classify_lighting(np.array(exact + [(10, 11, 10)]), 0, 1.0) is LightingMode.DAY
+    def test_channel_spread_boundary(self):
+        # A spread of 2 of 255 is grey, 3 is colour, on every pixel.
+        assert classify_lighting(grey_image() + (0, 2, 1)) is LightingMode.NIGHT
+        assert classify_lighting(grey_image() + (0, 3, 1)) is LightingMode.DAY
+
+    def test_reads_only_the_grid_pixels(self):
+        # On a 19 x 19 image the grid is every even row and column.
+        img = np.tile([200, 40, 40], (19, 19, 1))
+        img[::2, ::2] = (7, 7, 7)
+        assert classify_lighting(img) is LightingMode.NIGHT
+        img = grey_image((19, 19)).astype(float)
+        img[1::2, :] = np.nan  # off the grid: never read, so never refused
+        assert classify_lighting(img) is LightingMode.NIGHT
+        img[::2, ::2] = (200, 40, 40)
+        assert classify_lighting(img) is LightingMode.DAY
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            classify_lighting(np.empty((0, 3)), 2, 0.99)
-        with pytest.raises(ValueError):
-            classify_lighting(np.ones((4, 2)), 2, 0.99)
-        with pytest.raises(ValueError):
-            classify_lighting(np.array([[1, 256, 1]]), 2, 0.99)
-        with pytest.raises(ValueError):
-            classify_lighting(np.array([[1, -1, 1]]), 2, 0.99)
-        with pytest.raises(ValueError):
-            classify_lighting(np.ones((1, 3)), -1, 0.99)
-        with pytest.raises(ValueError):
-            classify_lighting(np.ones((1, 3)), 2, 0.0)
+        for image in REFUSED_IMAGES.values():
+            with pytest.raises(ValueError, match=re.escape(f"got dtype {image.dtype} and shape {image.shape}") + "$"):
+                classify_lighting(image)
 
     @given(
-        st.lists(
-            st.tuples(
-                st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)
-            ),
-            min_size=1,
-            max_size=60,
-        ),
+        st.lists(st.integers(0, 253), min_size=100, max_size=100),
+        st.lists(st.tuples(st.integers(0, 99), *[st.integers(0, 255)] * 3), max_size=3),
         st.randoms(use_true_random=False),
-        st.integers(0, 8),
     )
-    def test_permutation_invariant(self, triples, rnd, tolerance):
-        shuffled = list(triples)
+    def test_permutation_invariant(self, levels, coloured, rnd):
+        # Grey pixels with spreads 0-2, and up to 3 pixels set to any colour: night or day.
+        pixels = [(g, g + i % 3, g) for i, g in enumerate(levels)]
+        for index, *rgb in coloured:
+            pixels[index] = tuple(rgb)
+        shuffled = list(pixels)
         rnd.shuffle(shuffled)
-        assert classify_lighting(np.array(triples), tolerance, 0.9) is classify_lighting(
-            np.array(shuffled), tolerance, 0.9
+        assert classify_lighting(np.reshape(pixels, (10, 10, 3))) is classify_lighting(
+            np.reshape(shuffled, (10, 10, 3))
         )
 
-
-class TestSamplePixelGrid:
-    def test_grid_size_and_values(self):
-        img = np.zeros((40, 60, 3), dtype=np.uint8)
-        img[:, :, 0] = 7
-        samples = sample_pixel_grid(img, (10, 10))
-        assert samples.shape == (100, 3)
-        assert np.array_equal(samples, np.tile([7, 0, 0], (100, 1)))
-
-    def test_rejects_non_image(self):
-        with pytest.raises(ValueError):
-            sample_pixel_grid(np.zeros((5, 5)), (2, 2))
+    def test_matches_literal_retrace_on_seeded_images(self):
+        # Grey images with a few channels pushed 0-5 levels off, some with a fourth
+        # channel, as uint8, int64 or float64 (floats also move by up to 0.5).
+        rng = np.random.default_rng(9)
+        modes = []
+        for _ in range(300):
+            shape = (*rng.integers(1, 40, 2), rng.choice([3, 4]))
+            img = rng.integers(0, 250, (*shape[:2], 1)) + np.zeros(shape, dtype=int)
+            img += rng.integers(0, 6, shape) * (rng.random(shape) < rng.random() / 20)
+            img = img.astype(rng.choice([np.uint8, np.int64, np.float64]))
+            if img.dtype == np.float64:
+                img += rng.random(shape) / 2
+            modes.append(classify_lighting(img).value)
+            assert modes[-1] == ir_lighting_mode(img.tolist())
+        assert 50 < modes.count("day") < 250
 
 
 class TestFilterHeads:

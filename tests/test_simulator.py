@@ -8,7 +8,7 @@ import pytest
 from headcount import counter, engine, simulator
 from headcount.counter import CountLedger, EventKind, Orientation, RegionLayout, quote
 from headcount.engine import EngineConfig, bench, run, run_frames
-from headcount.ingest import DetectionClass, EmbeddingDimensionError, sample_pixel_grid, write_stream
+from headcount.ingest import DetectionClass, EmbeddingDimensionError, classify_lighting, write_stream
 from headcount.simulator import (
     ActorIntent,
     ActorSpec,
@@ -108,10 +108,19 @@ REFUSED = {
                           "^total_observations must be a positive integer, got 10.5$"),
     "accuracy_bool_error": (lambda: counter.accuracy(10, True), ValueError,
                             "^error must be a non-negative integer, got True$"),
-    "pixel_grid_2.5": (lambda: sample_pixel_grid(np.zeros((4, 4, 3)), (2.5, 2)), ValueError,
-                       "^grid rows must be a positive integer, got 2.5$"),
+    "lighting_nan": (lambda: classify_lighting(np.full((4, 4, 3), np.nan)), ValueError,
+                     r"^sampled channel values must be in \[0, 255\], got dtype float64 and shape \(4, 4, 3\)$"),
     "waypoint_pair": (lambda: ActorSpec(7, [(0, 0.5)], np.ones(4)), ValueError,
                       r"^actor 7: waypoint \(0, 0.5\) must be an integer frame and two numbers$"),
+    "path_append": (lambda: _actor(np.ones(4)).path.append((10, 7.0, "x")), AttributeError, "append"),
+    "path_int": (lambda: ActorSpec(7, 5, np.ones(4)), ValueError,
+                 r"^actor 7: path must be a list or tuple of \(frame, x, y\) waypoints, got 5$"),
+    "path_iterator": (lambda: ActorSpec(7, iter([(0, 0.5, 0.5)]), np.ones(4)), ValueError,
+                      r"^actor 7: path must be a list or tuple of \(frame, x, y\) waypoints, got <list_iterato"),
+    "path_dict": (lambda: ActorSpec(7, {(0, 0.5, 0.5): 1}, np.ones(4)), ValueError,
+                  r"^actor 7: path must be a list or tuple of \(frame, x, y\) waypoints, got \{\(0, 0.5, 0.5\): 1\}$"),
+    "path_ndarray": (lambda: ActorSpec(7, np.array([[0, 0.5, 0.5]]), np.ones(4)), ValueError,
+                     r"^actor 7: path must be a list or tuple of \(frame, x, y\) waypoints, got array\("),
     "missed_frames_int": (lambda: ActorSpec(7, [(0, 0.5, 0.5)], np.ones(4), missed_frames=5), ValueError,
                           "^actor 7: missed_frames must be a frozenset of integer frames, got 5$"),
     "missed_frames_fraction": (lambda: ActorSpec(7, [(0, 0.5, 0.5)], np.ones(4), missed_frames=frozenset({1.5})),
@@ -172,6 +181,11 @@ class TestSpecs:
         base = _actor([1, 2, 3]).base_embedding
         assert base.dtype == np.float64 and base.tolist() == [1.0, 2.0, 3.0]
         assert {ActorSpec, DistractionSpec, NoiseSpec, ScenarioSpec} <= set(simulator_dataclasses())
+
+    def test_actor_path_is_stored_as_a_tuple_of_tuples(self):
+        actor = ActorSpec(7, [[0, 0.5, 0.1], (20, 0.5, 0.9)], np.ones(4))
+        assert actor.path == ((0, 0.5, 0.1), (20, 0.5, 0.9))
+        assert replace(actor, path=list(actor.path)).path == actor.path
 
     def test_noise_ranges(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The stream edge as a property: whatever one line holds, `run` on the counted
 lines before it plus that line either counts it or raises a StreamError that
-names the line, carries the counted frames' result and stays short.
+names the line, carries the counted frames' result and stays short; and
+`headcount run` on the same bytes in a file does what `run` does.
 
 Mutations are drawn from stdlib `random` with a fixed seed, so every run of
 the suite tries the same lines."""
@@ -10,6 +11,8 @@ import random
 
 import pytest
 
+from headcount.cli import main
+from headcount.counter import write_events
 from headcount.engine import run
 from headcount.ingest import StreamError, write_stream
 from headcount.simulator import generate, make_scenario
@@ -88,3 +91,35 @@ def test_every_mutated_line_runs_or_is_refused_on_its_line():
         if problem is not None:
             faults.append((n, prefix + 1, line[:80], problem))
     assert faults == []
+
+
+def cli_cases():
+    """About 40 (prefix, line) mutations from their own seed, one of them carrying a 0xff byte."""
+    rng = random.Random(21)
+    cases = []
+    for _ in range(39):
+        prefix = rng.randrange(len(LINES))
+        cases.append((prefix, mutate(LINES[prefix], rng)))
+    prefix = rng.randrange(len(LINES))
+    cut = LINES[prefix].index(b":") + 1
+    cases.append((prefix, LINES[prefix][:cut] + b"\xff" + LINES[prefix][cut:]))
+    return cases
+
+
+def test_the_cli_writes_what_run_counts_from_a_file(tmp_path):
+    for n, (prefix, line) in enumerate(cli_cases()):
+        lines = LINES[:prefix] + [line]
+        stream, events_out, report_out = (tmp_path / f"{n}.{name}" for name in ("jsonl", "events", "json"))
+        stream.write_bytes(b"\n".join(lines) + b"\n")
+        code = main(["run", "--input", str(stream), "--events-out", str(events_out), "--report-out", str(report_out)])
+        try:
+            result, refused = run(lines), None
+        except StreamError as err:
+            result, refused = err.result, err
+        expected = io.StringIO()
+        write_events(result.events, expected)
+        report = json.loads(report_out.read_text())
+        assert (code, events_out.read_text(), report["frames"]) == (
+            (1 if refused else 0), expected.getvalue(), result.frames), (n, line[:80])
+        if refused:
+            assert report["error"].startswith(f"line {prefix + 1}:"), (n, line[:80])
