@@ -249,6 +249,13 @@ class TestClassifyLighting:
         assert 50 < modes.count("day") < 250
 
 
+class TestSamplePixelGrid:
+    def test_rejects_non_image(self):
+        # A 2-D array has rows and columns to sample but no channels: refused before any pixel is read.
+        with pytest.raises(ValueError, match=r"^expected an H x W x 3 image of numbers, H and W >= 1, got"):
+            classify_lighting(np.zeros((5, 5)))
+
+
 class TestFilterHeads:
     def test_drops_distractions(self):
         frame = frame_of(chair(0.89), head(0.95), chair(0.99))
