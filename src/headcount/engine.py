@@ -33,10 +33,6 @@ from .ingest import FrameRecord, StreamError, StreamState, check_frame, filter_h
 from .simulator import GroundTruth, ScenarioSpec, evaluate, generate
 from .tracker import Tracker, TrackerConfig
 
-# Frames excluded from latency percentiles while caches and allocator warm up.
-WARMUP_FRAMES = 50
-
-
 class ConfigError(ValueError):
     """Invalid engine configuration (bad field, value, or file)."""
 
@@ -99,46 +95,32 @@ class LatencyStats:
 SUB_BUCKET_BITS = 7
 
 
-def _bucket_mid_us(key: int) -> float:
-    """Midpoint, in us, of the integer ns values that share bucket `key`."""
-    shift = max((key >> SUB_BUCKET_BITS) - 1, 0)
-    low = (key - (shift << SUB_BUCKET_BITS)) << shift
-    return (low + ((1 << shift) - 1) / 2.0) / 1000.0
-
-
 class LatencyRecorder:
     """Per-frame latency histograms keyed by live track count, in memory that
-    does not grow with the stream: groups x buckets.
-
-    The first WARMUP_FRAMES samples go into a histogram set of their own
-    while caches and the allocator warm up. The report reads the steady set,
-    or the warm-up set if the run ended before the steady set got a sample,
-    so a short run still reports every frame.
-    """
+    does not grow with the stream: groups x buckets. Every sample counts, filed
+    under its bucket's lower bound: the sample with the bits below its
+    resolution cleared."""
 
     def __init__(self):
-        self._added = 0
-        self._warm: defaultdict[int, Counter] = defaultdict(Counter)
-        self._steady: defaultdict[int, Counter] = defaultdict(Counter)
+        self._groups: defaultdict[int, Counter] = defaultdict(Counter)
 
     def add(self, tracks: int, elapsed_ns: int) -> None:
         shift = max(elapsed_ns.bit_length() - (SUB_BUCKET_BITS + 1), 0)
-        key = (shift << SUB_BUCKET_BITS) + (elapsed_ns >> shift)
-        groups = self._warm if self._added < WARMUP_FRAMES else self._steady
-        self._added += 1
-        groups[tracks][key] += 1
+        self._groups[tracks][elapsed_ns >> shift << shift] += 1
 
     def report(self) -> "BenchReport":
-        """Nearest-rank p50/p95/p99 per track count, read from the buckets."""
-        groups, excluded = (self._steady, WARMUP_FRAMES) if self._steady else (self._warm, 0)
+        """Nearest-rank p50/p95/p99 per track count, each read as its bucket's midpoint."""
         stats = {}
-        for tracks, buckets in sorted(groups.items()):
-            keys = sorted(buckets)
-            seen = list(itertools.accumulate(buckets[key] for key in keys))
-            ranks = [(q * seen[-1] + 99) // 100 for q in (50, 95, 99)]
-            values = [_bucket_mid_us(keys[bisect_left(seen, rank)]) for rank in ranks]
+        for tracks, buckets in sorted(self._groups.items()):
+            lows = sorted(buckets)
+            seen = list(itertools.accumulate(buckets[low] for low in lows))
+            values = []
+            for q in (50, 95, 99):
+                low = lows[bisect_left(seen, (q * seen[-1] + 99) // 100)]
+                shift = max(low.bit_length() - (SUB_BUCKET_BITS + 1), 0)
+                values.append((low + ((1 << shift) - 1) / 2.0) / 1000.0)
             stats[tracks] = LatencyStats(seen[-1], *values)
-        return BenchReport(groups=stats, warmup_excluded=excluded)
+        return BenchReport(stats)
 
 
 @dataclass
@@ -146,11 +128,9 @@ class BenchReport:
     """Per-frame engine latency percentiles grouped by simultaneous tracks."""
 
     groups: dict[int, LatencyStats]
-    warmup_excluded: int
 
     def to_dict(self) -> dict:
         return {
-            "warmup_excluded": self.warmup_excluded,
             "groups": {
                 str(count): {**asdict(stats), "max_fps": stats.max_fps}
                 for count, stats in self.groups.items()
@@ -265,7 +245,8 @@ def bench(
 
     Frames are generated up front as records, never parsed, so the measurement
     covers filtering, association and counting only. Runs single-threaded; a
-    fresh engine per repetition keeps state comparable across reps.
+    fresh engine per repetition keeps state comparable across reps. One untimed
+    pass over the frames comes first, so caches and the allocator are warm.
     """
     check_count("repetitions", repetitions, 1)
     if not scenarios:
@@ -273,9 +254,9 @@ def bench(
     cfg = config or EngineConfig()
     frame_sets = [generate(spec, cfg.layout)[0] for spec in scenarios]
     recorder = LatencyRecorder()
-    for _ in range(repetitions):
+    for sink in [LatencyRecorder()] + [recorder] * repetitions:  # the first pass is thrown away
         for frames in frame_sets:
-            _timed_frames(Engine(cfg), frames, recorder)
+            _timed_frames(Engine(cfg), frames, sink)
     return recorder.report()
 
 

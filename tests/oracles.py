@@ -7,6 +7,7 @@ from the production code paths they verify.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 
 def feature_distance(a, b):
@@ -166,3 +167,38 @@ def ir_lighting_mode(image):
             if max(red, green, blue) - min(red, green, blue) <= 2:
                 agreeing += 1
     return "night" if agreeing >= 99 else "day"
+
+
+def latency_percentiles(samples):
+    """Literal re-trace of the latency report, one sorted group at a time.
+
+    `samples` is a list of (track_count, elapsed_ns) pairs with integer ns.
+    Per track count the ns samples are sorted and, for q = 50, 95 and 99, the
+    sample at nearest rank ceil(q * n / 100) (counting from 1) is taken. Its
+    bucket is built one bit at a time, leading bit first: the first 8 bits
+    (the leading one and the 7 after it) are kept, and each later bit is 0 in
+    the bucket's lowest value and 1 in its highest. Returns
+    {track_count: (n, p50_us, p95_us, p99_us)}, each the bucket's midpoint in
+    us, sorted by track count.
+    """
+    groups = {}
+    for tracks, ns in samples:
+        groups.setdefault(tracks, []).append(ns)
+    out = {}
+    for tracks in sorted(groups):
+        ordered = sorted(groups[tracks])
+        n = len(ordered)
+        values = []
+        for q in (50, 95, 99):
+            sample = ordered[math.ceil(Fraction(q * n, 100)) - 1]
+            bits = []
+            while sample > 0:
+                bits.insert(0, sample % 2)
+                sample //= 2
+            low = high = 0
+            for position, bit in enumerate(bits):
+                low = 2 * low + (bit if position < 8 else 0)
+                high = 2 * high + (bit if position < 8 else 1)
+            values.append((low + high) / 2 / 1000)
+        out[tracks] = (n, *values)
+    return out

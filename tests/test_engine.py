@@ -15,7 +15,6 @@ import pytest
 
 from headcount.counter import CountLedger, CrossingEvent, EventKind, Orientation, RegionLayout, write_events
 from headcount.engine import (
-    WARMUP_FRAMES,
     ConfigError,
     Engine,
     EngineConfig,
@@ -36,6 +35,7 @@ from headcount.ingest import (
 )
 from headcount.simulator import NoiseSpec, generate, make_scenario, random_crossings
 from headcount.tracker import TrackerConfig
+from oracles import latency_percentiles
 
 DIM = 16
 
@@ -51,12 +51,27 @@ def stream_for(name, dim=DIM, lighting=None):
 
 
 def report_from_samples(samples):
-    """The BenchReport of (track_count, elapsed_us) pairs in collection order,
-    with LatencyRecorder's warm-up rule."""
+    """The BenchReport of (track_count, elapsed_us) pairs in collection order."""
     recorder = LatencyRecorder()
     for count, elapsed_us in samples:
         recorder.add(count, round(elapsed_us * 1000.0))
     return recorder.report()
+
+
+# Sample count per track count of `log_uniform_samples`; some groups hold fewer
+# than ten samples, so their p95 and p99 are their largest sample.
+LOG_UNIFORM_SIZES = {1: 1, 2: 2, 3: 7, 4: 9, 5: 300, 6: 5000}
+
+
+def log_uniform_samples():
+    """Seeded (track_count, elapsed_us) pairs, log-uniform from 1 us to 100 ms, shuffled."""
+    rng = np.random.default_rng(14)
+    samples = [
+        (tracks, float(us))
+        for tracks, n in LOG_UNIFORM_SIZES.items()
+        for us in np.exp(rng.uniform(0.0, math.log(1e5), n))
+    ]
+    return [samples[k] for k in rng.permutation(len(samples))]
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -236,51 +251,57 @@ class TestBench:
             assert stats.max_fps > 0
         payload = report.to_dict()
         assert set(payload["groups"]) == {"0", "1", "2", "3"}
-        assert list(payload) == ["warmup_excluded", "groups"]
+        assert list(payload) == ["groups"]
         assert list(payload["groups"]["0"]) == ["samples", "p50_us", "p95_us", "p99_us", "max_fps"]
 
-    def test_warmup_exclusion(self):
-        samples = [(0, 1.0)] * 60
-        report = report_from_samples(samples)
-        assert report.warmup_excluded == WARMUP_FRAMES
-        assert report.groups[0].samples == 60 - WARMUP_FRAMES
-        short = report_from_samples(samples[:20])
-        assert short.warmup_excluded == 0
-        assert short.groups[0].samples == 20
+    def test_every_timed_frame_is_a_sample(self):
+        def sampled(report):
+            return sum(stats.samples for stats in report.groups.values())
+
+        frames, _ = generate(make_scenario("multi_3", DIM))
+        result = run_frames(frames)
+        assert sampled(result.bench) == result.frames == len(frames)
+        with pytest.raises(StreamOrderError) as info:
+            run_frames(frames[:30] + [frames[10]])
+        assert sampled(info.value.result.bench) == info.value.result.frames == 30
+        # bench's untimed first pass is never sampled
+        specs = [make_scenario("clean_entry", DIM), make_scenario("multi_3", DIM)]
+        report = bench(specs, repetitions=3)
+        assert sampled(report) == 3 * sum(spec.duration_frames for spec in specs)
+
+    def test_report_equals_the_literal_oracle(self):
+        samples = [(tracks, round(us * 1000.0)) for tracks, us in log_uniform_samples()]
+        samples += [(7, ns) for ns in range(256)] + [(1000 + ns, ns) for ns in range(256)]
+        edges = [2**k + d for k in range(41) for d in (-1, 0, 1)]
+        samples += [(8, ns) for ns in edges] + [(2000 + k, ns) for k, ns in enumerate(edges)]
+        samples += [(9, 1000 * k * k) for k in range(99)]  # p99's rank, 99 * 99 / 100, rounds up
+        recorder = LatencyRecorder()
+        for tracks, ns in samples:
+            recorder.add(tracks, ns)
+        report = {
+            tracks: (stats.samples, stats.p50_us, stats.p95_us, stats.p99_us)
+            for tracks, stats in recorder.report().groups.items()
+        }
+        assert list(report.items()) == list(latency_percentiles(samples).items())
 
     def test_percentiles_within_one_percent_of_nearest_rank(self):
-        # Log-uniform samples from 1 us to 100 ms; some groups hold fewer than
-        # ten samples, so their p95 and p99 are their largest sample.
-        rng = np.random.default_rng(14)
-        sizes = {1: 1, 2: 2, 3: 7, 4: 9, 5: 300, 6: 5000}
-        measured = [
-            (tracks, float(us))
-            for tracks, n in sizes.items()
-            for us in np.exp(rng.uniform(0.0, math.log(1e5), n))
-        ]
-        measured = [measured[k] for k in rng.permutation(len(measured))]
-        report = report_from_samples([(0, 1.0)] * WARMUP_FRAMES + measured)
-        assert report.warmup_excluded == WARMUP_FRAMES
-        assert set(report.groups) == set(sizes)
+        measured = log_uniform_samples()
+        report = report_from_samples(measured)
+        assert set(report.groups) == set(LOG_UNIFORM_SIZES)
         for tracks, stats in report.groups.items():
             ns = sorted(round(us * 1000) for count, us in measured if count == tracks)
-            assert stats.samples == len(ns) == sizes[tracks]
+            assert stats.samples == len(ns) == LOG_UNIFORM_SIZES[tracks]
             for q, value in zip((50, 95, 99), (stats.p50_us, stats.p95_us, stats.p99_us)):
                 exact_us = ns[-(-q * len(ns) // 100) - 1] / 1000.0
                 assert abs(value - exact_us) <= 0.01 * exact_us, (tracks, q, value, exact_us)
 
-    def test_run_ending_inside_warmup_keeps_every_sample(self):
+    def test_every_sample_counts_and_below_256_ns_is_exact(self):
         recorder = LatencyRecorder()
-        for k in range(WARMUP_FRAMES):
+        for k in range(50):
             recorder.add(k % 2, 100 + k)
         report = recorder.report()
-        assert report.warmup_excluded == 0
-        assert [s.samples for s in report.groups.values()] == [WARMUP_FRAMES // 2] * 2
-        assert report.groups[0].p99_us == (100 + WARMUP_FRAMES - 2) / 1000.0  # exact below 256 ns
-        recorder.add(7, 5000)
-        report = recorder.report()
-        assert report.warmup_excluded == WARMUP_FRAMES
-        assert list(report.groups) == [7] and report.groups[7].samples == 1
+        assert [s.samples for s in report.groups.values()] == [25] * 2
+        assert report.groups[0].p99_us == (100 + 50 - 2) / 1000.0  # exact below 256 ns
 
     def test_run_memory_does_not_grow_with_the_stream(self):
         # The latency store is a histogram per occupancy, not a sample per
@@ -372,7 +393,7 @@ class TestBench:
         spec = random_crossings(3, actors=3, embedding_dim=DIM)
         report = bench([spec], repetitions=1)
         kept = sum(stats.samples for stats in report.groups.values())
-        assert kept + report.warmup_excluded == spec.duration_frames
+        assert kept == spec.duration_frames
 
 
 class TestCalibrate:
