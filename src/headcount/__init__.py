@@ -26,7 +26,6 @@ from .counter import (
     write_events,
 )
 from .engine import (
-    BenchReport,
     CalibrationRow,
     ConfigError,
     Engine,

@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 
 from .counter import check_count, write_events
-from .engine import ConfigError, EngineConfig, bench, calibrate, run
+from .engine import ConfigError, EngineConfig, bench, calibrate, latency_to_dict, run
 from .ingest import DEFAULT_EMBEDDING_DIM, StreamError, write_stream
 from .simulator import generate, make_scenario, write_ground_truth
 
@@ -82,15 +82,15 @@ def _cmd_simulate(args, config: EngineConfig) -> int:
 
 def _cmd_bench(args, config: EngineConfig) -> int:
     names = [n for n in args.scenarios.split(",") if n]
-    report = bench(_scenarios(names, config), repetitions=args.reps, config=config)
+    latency = bench(_scenarios(names, config), repetitions=args.reps, config=config)
     print(f"{'tracks':>6}  {'samples':>8}  {'p50 us':>10}  {'p95 us':>10}  {'p99 us':>10}  {'max fps':>10}")
-    for count, stats in sorted(report.groups.items()):
+    for count, stats in latency.items():
         print(
             f"{count:>6}  {stats.samples:>8}  {stats.p50_us:>10.1f}  "
             f"{stats.p95_us:>10.1f}  {stats.p99_us:>10.1f}  {stats.max_fps:>10.0f}"
         )
     if args.report_out:
-        _write_json(args.report_out, report.to_dict())
+        _write_json(args.report_out, latency_to_dict(latency))
     return EXIT_OK
 
 

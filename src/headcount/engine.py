@@ -2,9 +2,10 @@
 
 One Engine owns one stream's state and processes frames strictly in order, so
 counting never observes a track from a different frame. Independent streams
-(one per doorway) each get their own engine. Per-frame latency covers only
-the engine's own compute (filter, association, counting), since detector
-inference happens upstream.
+(one per doorway) each get their own engine. The frame clock is the engine's:
+`process_frame` times each frame it admits, from `check_frame` through counting
+(not parsing or the upstream detector), into `Engine.latency` by live tracks.
+`RunResult.latency` and `bench` read it out as one `{tracks: LatencyStats}` table.
 """
 from __future__ import annotations
 
@@ -108,8 +109,8 @@ class LatencyRecorder:
         shift = max(elapsed_ns.bit_length() - (SUB_BUCKET_BITS + 1), 0)
         self._groups[tracks][elapsed_ns >> shift << shift] += 1
 
-    def report(self) -> "BenchReport":
-        """Nearest-rank p50/p95/p99 per track count, each read as its bucket's midpoint."""
+    def report(self) -> dict[int, LatencyStats]:
+        """Nearest-rank p50/p95/p99 per track count, in track-count order, each read as its bucket's midpoint."""
         stats = {}
         for tracks, buckets in sorted(self._groups.items()):
             lows = sorted(buckets)
@@ -120,26 +121,17 @@ class LatencyRecorder:
                 shift = max(low.bit_length() - (SUB_BUCKET_BITS + 1), 0)
                 values.append((low + ((1 << shift) - 1) / 2.0) / 1000.0)
             stats[tracks] = LatencyStats(seen[-1], *values)
-        return BenchReport(stats)
+        return stats
 
 
-@dataclass
-class BenchReport:
-    """Per-frame engine latency percentiles grouped by simultaneous tracks."""
-
-    groups: dict[int, LatencyStats]
-
-    def to_dict(self) -> dict:
-        return {
-            "groups": {
-                str(count): {**asdict(stats), "max_fps": stats.max_fps}
-                for count, stats in self.groups.items()
-            },
-        }
+def latency_to_dict(latency: dict[int, LatencyStats]) -> dict:
+    """The latency JSON of `report.json` and `headcount bench --report-out`."""
+    groups = {str(count): {**asdict(stats), "max_fps": stats.max_fps} for count, stats in latency.items()}
+    return {"groups": groups}
 
 
 class Engine:
-    """Single-stream pipeline state: tracker, ledger, lighting tallies."""
+    """Single-stream pipeline state: tracker, ledger, lighting tallies, frame latency."""
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
@@ -148,10 +140,13 @@ class Engine:
         self.lighting_counts = {"day": 0, "night": 0, "unknown": 0}
         self.frames_processed = 0
         self._last: StreamState = (None, None, self.config.embedding_dim)
+        self.latency = LatencyRecorder()
 
     def process_frame(self, frame: FrameRecord) -> list[CrossingEvent]:
         """Run one frame through filter -> track -> count; returns new events.
-        A frame that breaks the stream rule (`check_frame`) is refused before any state changes."""
+        A frame that breaks the stream rule (`check_frame`) is refused, untimed, before any state
+        changes; any other is timed into `self.latency` under the tracks live after it."""
+        t0 = time.perf_counter_ns()
         self._last = check_frame(frame, self._last)
         mode = frame.lighting
         self.lighting_counts[mode.value if mode is not None else "unknown"] += 1
@@ -166,13 +161,14 @@ class Engine:
                 tally(self.ledger, event)
                 events.append(event)
         self.frames_processed += 1
+        self.latency.add(len(self.tracker.objects), time.perf_counter_ns() - t0)
         return events
 
 
 @dataclass
 class RunResult:
     ledger: CountLedger
-    bench: BenchReport
+    latency: dict[int, LatencyStats]
     frames: int
     lighting_counts: dict
     track_ids_issued: int
@@ -188,18 +184,8 @@ class RunResult:
             "events": len(self.ledger.events),
             "track_ids_issued": self.track_ids_issued,
             "lighting_frames": dict(self.lighting_counts),
-            "latency": self.bench.to_dict(),
+            "latency": latency_to_dict(self.latency),
         }
-
-
-def _timed_frames(
-    engine: Engine, frames: Iterable[FrameRecord], recorder: LatencyRecorder
-) -> None:
-    """Process frames in order; record each one's live tracks and ns in process_frame."""
-    for frame in frames:
-        t0 = time.perf_counter_ns()
-        engine.process_frame(frame)
-        recorder.add(len(engine.tracker.objects), time.perf_counter_ns() - t0)
 
 
 def run(source, config: Optional[EngineConfig] = None) -> RunResult:
@@ -217,15 +203,15 @@ def run(source, config: Optional[EngineConfig] = None) -> RunResult:
 def run_frames(frames: Iterable[FrameRecord], config: Optional[EngineConfig] = None) -> RunResult:
     """Like run(), for frames that are already parsed (no stream decoding)."""
     engine = Engine(config)
-    recorder = LatencyRecorder()
     error = None
     try:
-        _timed_frames(engine, frames, recorder)
+        for frame in frames:
+            engine.process_frame(frame)
     except StreamError as exc:
         error = exc
     result = RunResult(
         ledger=engine.ledger,
-        bench=recorder.report(),
+        latency=engine.latency.report(),
         frames=engine.frames_processed,
         lighting_counts=engine.lighting_counts,
         track_ids_issued=engine.tracker.ids_issued,
@@ -240,13 +226,13 @@ def bench(
     scenarios: Sequence[ScenarioSpec],
     repetitions: int = 20,
     config: Optional[EngineConfig] = None,
-) -> BenchReport:
+) -> dict[int, LatencyStats]:
     """Measure per-frame engine latency over pre-generated scenario frames.
 
     Frames are generated up front as records, never parsed, so the measurement
     covers filtering, association and counting only. Runs single-threaded; a
-    fresh engine per repetition keeps state comparable across reps. One untimed
-    pass over the frames comes first, so caches and the allocator are warm.
+    fresh engine per repetition keeps state comparable across reps. One pass over
+    the frames comes first and its samples are dropped, so caches are warm.
     """
     check_count("repetitions", repetitions, 1)
     if not scenarios:
@@ -256,7 +242,10 @@ def bench(
     recorder = LatencyRecorder()
     for sink in [LatencyRecorder()] + [recorder] * repetitions:  # the first pass is thrown away
         for frames in frame_sets:
-            _timed_frames(Engine(cfg), frames, sink)
+            engine = Engine(cfg)
+            engine.latency = sink
+            for frame in frames:
+                engine.process_frame(frame)
     return recorder.report()
 
 

@@ -31,7 +31,7 @@ from .counter import (
     quote,
     write_lines,
 )
-from .ingest import _CLASSES, DEFAULT_EMBEDDING_DIM, DetectionClass, Detections, FrameRecord, check_frame
+from .ingest import DEFAULT_EMBEDDING_DIM, DetectionClass, Detections, FrameRecord, check_frame
 
 HEAD_BOX_SIZE = 0.08
 HEAD_CONFIDENCE = 0.95
@@ -116,8 +116,8 @@ class DistractionSpec:
 
     def __post_init__(self):
         try:
-            label = _CLASSES.get(self.class_label)
-        except TypeError:  # an unhashable class
+            label = DetectionClass(self.class_label)
+        except ValueError:  # unhashable values included
             label = None
         if label in (None, DetectionClass.HEAD):
             raise ValueError(f"distraction class must be a non-head class, got {quote.repr(self.class_label)}")

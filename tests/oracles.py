@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def feature_distance(a, b):
     """Cosine distance between two embeddings, one component at a time.
@@ -202,3 +204,98 @@ def latency_percentiles(samples):
             values.append((low + high) / 2 / 1000)
         out[tracks] = (n, *values)
     return out
+
+
+def min_cost_assignment(feature, spatial, feature_threshold, spatial_threshold):
+    """Exact minimum-cost gated assignment, by the Hungarian method on the augmented square.
+
+    The (m + n) square holds the m x n feature matrix top left. A cell at or
+    above the feature threshold, or one whose spatial distance is above the
+    spatial threshold, cannot be chosen. Row i may instead take its own column
+    n + i and column j its own row m + j, each at feature_threshold: that is
+    the cost of leaving a track or a detection unmatched. The bottom-right
+    n x m block is free, so the spare rows and columns pair up with each other.
+    Returns (matches, cost): the chosen (row, column) cells in row order, and
+    the total cost of the square's assignment.
+    """
+    feature = np.asarray(feature, dtype=float)
+    spatial = np.asarray(spatial, dtype=float)
+    m, n = feature.shape
+    size = m + n
+    square = np.full((size, size), np.inf)
+    allowed = (feature < feature_threshold) & ~(spatial > spatial_threshold)
+    square[:m, :n] = np.where(allowed, feature, np.inf)
+    square[np.arange(m), n + np.arange(m)] = feature_threshold
+    square[m + np.arange(n), np.arange(n)] = feature_threshold
+    square[m:, n:] = 0.0
+    cost = square.tolist()
+    # potentials u (rows) and v (columns), 1-based with a sentinel column 0;
+    # owner[j] is the row that holds column j. A forbidden cell stays inf: every
+    # real row and column has a finite spare, so each step's delta is finite.
+    u = [0.0] * (size + 1)
+    v = [0.0] * (size + 1)
+    owner = [0] * (size + 1)
+    way = [0] * (size + 1)
+    for row in range(1, size + 1):
+        owner[0] = row
+        column = 0
+        reach = [math.inf] * (size + 1)
+        used = [False] * (size + 1)
+        while owner[column] != 0:
+            used[column] = True
+            i = owner[column]
+            delta = math.inf
+            nearest = 0
+            for j in range(1, size + 1):
+                if not used[j]:
+                    reduced = cost[i - 1][j - 1] - u[i] - v[j]
+                    if reduced < reach[j]:
+                        reach[j] = reduced
+                        way[j] = column
+                    if reach[j] < delta:
+                        delta = reach[j]
+                        nearest = j
+            for j in range(size + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    reach[j] -= delta
+            column = nearest
+        while column != 0:
+            previous = way[column]
+            owner[column] = owner[previous]
+            column = previous
+    chosen = sorted((owner[j] - 1, j - 1) for j in range(1, size + 1))
+    matches = [(i, j) for i, j in chosen if i < m and j < n]
+    return matches, sum(cost[i][j] for i, j in chosen)
+
+
+def match_events(truth, events, window):
+    """Pair each true crossing with a counted event, one true crossing at a time.
+
+    `truth` is [(kind, actor_id, frame_id), ...] in ground-truth order and
+    `events` the counted CrossingEvents. Each true crossing takes the nearest
+    unused event of the same kind within +-window frames; of equally near
+    ones, the first in `events`. Returns (pairs, missed, spurious): the
+    (truth index, event index) pairs, the true crossings left unpaired, and
+    the events left unpaired.
+    """
+    used = [False] * len(events)
+    pairs = []
+    missed = []
+    for t, (kind, _, frame) in enumerate(truth):
+        best = None
+        for e, event in enumerate(events):
+            if used[e] or event.kind != kind:
+                continue
+            gap = abs(event.frame_id - frame)
+            if gap <= window and (best is None or gap < abs(events[best].frame_id - frame)):
+                best = e
+        if best is None:
+            missed.append(truth[t])
+        else:
+            used[best] = True
+            pairs.append((t, best))
+    spurious = [event for e, event in enumerate(events) if not used[e]]
+    return pairs, missed, spurious

@@ -164,8 +164,7 @@ def test_criterion_07_noisy_accuracy_surrogate():
 
 
 def test_criterion_08_latency_budget():
-    bench_report = hc.bench([hc.make_scenario("multi_3", DIM)], repetitions=40)
-    groups = bench_report.groups
+    groups = hc.bench([hc.make_scenario("multi_3", DIM)], repetitions=40)
     ok_groups = {0, 1, 2, 3} <= set(groups)
     p50 = {count: groups[count].p50_us for count in sorted(groups)}
     p95 = {count: groups[count].p95_us for count in sorted(groups)}

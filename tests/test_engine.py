@@ -21,6 +21,7 @@ from headcount.engine import (
     LatencyRecorder,
     bench,
     calibrate,
+    latency_to_dict,
     run,
     run_frames,
 )
@@ -51,7 +52,7 @@ def stream_for(name, dim=DIM, lighting=None):
 
 
 def report_from_samples(samples):
-    """The BenchReport of (track_count, elapsed_us) pairs in collection order."""
+    """The latency table of (track_count, elapsed_us) pairs in collection order."""
     recorder = LatencyRecorder()
     for count, elapsed_us in samples:
         recorder.add(count, round(elapsed_us * 1000.0))
@@ -245,25 +246,25 @@ class TestEngineConfig:
 class TestBench:
     def test_report_structure_and_order(self):
         report = bench([make_scenario("multi_3", DIM)], repetitions=2)
-        assert set(report.groups) == {0, 1, 2, 3}
-        for stats in report.groups.values():
+        assert set(report) == {0, 1, 2, 3}
+        for stats in report.values():
             assert stats.p50_us <= stats.p95_us <= stats.p99_us
             assert stats.max_fps > 0
-        payload = report.to_dict()
+        payload = latency_to_dict(report)
         assert set(payload["groups"]) == {"0", "1", "2", "3"}
         assert list(payload) == ["groups"]
         assert list(payload["groups"]["0"]) == ["samples", "p50_us", "p95_us", "p99_us", "max_fps"]
 
     def test_every_timed_frame_is_a_sample(self):
         def sampled(report):
-            return sum(stats.samples for stats in report.groups.values())
+            return sum(stats.samples for stats in report.values())
 
         frames, _ = generate(make_scenario("multi_3", DIM))
         result = run_frames(frames)
-        assert sampled(result.bench) == result.frames == len(frames)
+        assert sampled(result.latency) == result.frames == len(frames)
         with pytest.raises(StreamOrderError) as info:
             run_frames(frames[:30] + [frames[10]])
-        assert sampled(info.value.result.bench) == info.value.result.frames == 30
+        assert sampled(info.value.result.latency) == info.value.result.frames == 30
         # bench's untimed first pass is never sampled
         specs = [make_scenario("clean_entry", DIM), make_scenario("multi_3", DIM)]
         report = bench(specs, repetitions=3)
@@ -280,15 +281,15 @@ class TestBench:
             recorder.add(tracks, ns)
         report = {
             tracks: (stats.samples, stats.p50_us, stats.p95_us, stats.p99_us)
-            for tracks, stats in recorder.report().groups.items()
+            for tracks, stats in recorder.report().items()
         }
         assert list(report.items()) == list(latency_percentiles(samples).items())
 
     def test_percentiles_within_one_percent_of_nearest_rank(self):
         measured = log_uniform_samples()
         report = report_from_samples(measured)
-        assert set(report.groups) == set(LOG_UNIFORM_SIZES)
-        for tracks, stats in report.groups.items():
+        assert set(report) == set(LOG_UNIFORM_SIZES)
+        for tracks, stats in report.items():
             ns = sorted(round(us * 1000) for count, us in measured if count == tracks)
             assert stats.samples == len(ns) == LOG_UNIFORM_SIZES[tracks]
             for q, value in zip((50, 95, 99), (stats.p50_us, stats.p95_us, stats.p99_us)):
@@ -300,8 +301,8 @@ class TestBench:
         for k in range(50):
             recorder.add(k % 2, 100 + k)
         report = recorder.report()
-        assert [s.samples for s in report.groups.values()] == [25] * 2
-        assert report.groups[0].p99_us == (100 + 50 - 2) / 1000.0  # exact below 256 ns
+        assert [s.samples for s in report.values()] == [25] * 2
+        assert report[0].p99_us == (100 + 50 - 2) / 1000.0  # exact below 256 ns
 
     def test_run_memory_does_not_grow_with_the_stream(self):
         # The latency store is a histogram per occupancy, not a sample per
@@ -355,8 +356,8 @@ class TestBench:
             "frames, _ = hc.generate(hc.make_scenario('multi_3', 8))\n"
             "buf = io.StringIO()\n"
             "hc.write_stream(frames, buf)\n"
-            "assert hc.run(io.StringIO(buf.getvalue())).bench.groups\n"
-            "assert hc.bench([hc.make_scenario('clean_entry', 8)], repetitions=1).groups\n"
+            "assert hc.run(io.StringIO(buf.getvalue())).latency\n"
+            "assert hc.bench([hc.make_scenario('clean_entry', 8)], repetitions=1)\n"
             "print('numpy.ma' in sys.modules)\n"
         )
         assert fresh_process_stdout(code).strip() == "False"
@@ -392,7 +393,7 @@ class TestBench:
     def test_runs_non_catalog_spec(self):
         spec = random_crossings(3, actors=3, embedding_dim=DIM)
         report = bench([spec], repetitions=1)
-        kept = sum(stats.samples for stats in report.groups.values())
+        kept = sum(stats.samples for stats in report.values())
         assert kept == spec.duration_frames
 
 

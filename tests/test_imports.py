@@ -1,4 +1,5 @@
-"""Every `src/headcount` module imports only names that it uses.
+"""Every `src/headcount` module imports only names that it uses, and no
+module imports another's private (`_`-prefixed) name.
 
 No linter is a dependency, so this stdlib `ast` pass is what catches an import
 left behind by a cut. `__init__.py` is skipped: its imports are the public API.
@@ -43,6 +44,17 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def private_imports(source):
+    """(line, name) of each `_name` taken from a sibling module by a relative import."""
+    return [
+        (node.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 def test_modules_found():
     assert len(MODULES) >= 6, MODULES
 
@@ -50,6 +62,11 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_imports_no_private_name(path):
+    assert private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_finds_a_stray_import_and_reads_quoted_annotations():
@@ -65,3 +82,13 @@ def test_finds_a_stray_import_and_reads_quoted_annotations():
         "    return os.path.join('a')\n"
     )
     assert unused_imports(source) == [(2, "itertools"), (4, "find")]
+
+
+def test_finds_a_private_import_from_a_sibling_module():
+    source = (
+        "from collections import _chain\n"
+        "from .ingest import _CLASSES, DetectionClass\n"
+        "from . import _helpers\n"
+        "from .counter import quote as _quote\n"
+    )
+    assert private_imports(source) == [(2, "_CLASSES"), (3, "_helpers")]
