@@ -15,7 +15,8 @@ every downstream threshold independent of camera resolution.
 
 Each frame's detections become one `Detections` block of columns, validated
 here, once, as it enters: the tracker and counter trust what `parse_stream`
-yields. Embeddings default to DEFAULT_EMBEDDING_DIM components.
+yields; it reads a frame's JSON `emb` rows in one inferred numpy pass, exact by
+`_embedding_block`'s check. Embeddings default to DEFAULT_EMBEDDING_DIM components.
 """
 from __future__ import annotations
 
@@ -86,8 +87,16 @@ def validate_embedding(block: np.ndarray) -> None:
         raise ValueError("embedding has zero norm: cosine distance is undefined for a zero vector")
 
 
-def _embedding_block(rows: list) -> np.ndarray:
-    """Stack embedding rows into one (n, d) float block; all rows share one length."""
+def _embedding_block(rows: list, from_json: bool = False) -> np.ndarray:
+    """The `emb` number rule: number-typed values (`is_number_row`), rows of one length, as an (n, d) float block.
+    JSON-built rows first try one inferred pass, kept only as a 2-D int or float block without a 0 or 1."""
+    if from_json:  # of the JSON values only a bool hides in an int or float block, as exactly 0 or 1
+        try:
+            block = np.array(rows)
+        except ValueError:  # ragged rows, or nested past numpy's dimension limit
+            block = np.empty(0)
+        if block.ndim == 2 and block.dtype.kind in "if" and not ((block == 0).any() or (block == 1).any()):
+            return block.astype(float, copy=False)
     for row in rows:
         if not is_number_row(row):
             raise ValueError(f"emb must be a flat array of numbers, got {quote.repr(row)}")
@@ -116,7 +125,8 @@ class Detections:
         if shapes != ((n,), (n, 4), (n,)) or self.embeddings.ndim != 2 or len(self.embeddings) != n:
             raise ValueError(f"every column must hold one row for each of the {n} detections")
         # Scalar checks: on a frame's few rows they cost less than array operations.
-        rows = zip(self.labels, self.confidences.tolist(), self.boxes.tolist(), self.has_embedding.tolist())
+        flags = self.has_embedding.tolist()
+        rows = zip(self.labels, self.confidences.tolist(), self.boxes.tolist(), flags)
         for i, (label, conf, (x0, y0, x1, y1), has_emb) in enumerate(rows):
             if not 0.0 <= conf <= 1.0:
                 rule = "confidence must be in [0, 1]"
@@ -127,13 +137,16 @@ class Detections:
             else:
                 continue
             raise ValueError(f"detection {i}: {rule}, got conf {conf} and box {[x0, y0, x1, y1]}")
-        validate_embedding(self.embeddings[self.has_embedding])
+        validate_embedding(self.embeddings if all(flags) else self.embeddings[self.has_embedding])
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple] = ()) -> "Detections":
         """Build from (class, conf, box, emb or None) rows; a class may be its wire name.
         A conf, a box's 4 values and an emb row's values must follow the number rule."""
-        rows = list(rows)
+        return cls._from_rows(list(rows), from_json=False)
+
+    @classmethod
+    def _from_rows(cls, rows: list, from_json: bool) -> "Detections":  # from_json: rows that json.loads built
         n = len(rows)
         classes, confs, boxes, embs = zip(*rows) if rows else ((), (), (), ())
         try:  # one pass over the frame's columns, not one per detection
@@ -145,9 +158,10 @@ class Detections:
                              f"{quote.repr(confs)} and box {quote.repr(boxes)}")
         has_embedding = np.array([emb is not None for emb in embs], dtype=bool)
         embedded = [emb for emb in embs if emb is not None]
-        block = _embedding_block(embedded) if embedded else np.zeros((0, 0))
-        embeddings = np.zeros((n, block.shape[1]))
-        embeddings[has_embedding] = block
+        embeddings = _embedding_block(embedded, from_json) if embedded else np.zeros((0, 0))
+        if len(embedded) < n:  # rows without an emb hold zeros
+            block, embeddings = embeddings, np.zeros((n, embeddings.shape[1]))
+            embeddings[has_embedding] = block
         try:
             labels = tuple(map(_CLASSES.__getitem__, classes))
         except KeyError as exc:
@@ -263,7 +277,7 @@ def _frame_from_obj(obj) -> FrameRecord:
     except TypeError:  # indexing a detection that is not an object
         raise StreamParseError("detection entries must be objects") from None
     try:
-        return FrameRecord(frame_id, ts_ms, Detections.from_rows(rows), obj.get("lighting"))
+        return FrameRecord(frame_id, ts_ms, Detections._from_rows(rows, from_json=True), obj.get("lighting"))
     except (TypeError, ValueError, OverflowError) as exc:  # overflow: an integer beyond float range
         raise StreamParseError(str(exc)) from None
 

@@ -84,7 +84,7 @@ def build_matrices(
     if m == 0 or n == 0:
         return DistanceMatrices(np.zeros((m, n)), np.zeros((m, n)))
     feature = 1.0 - np.array([t.unit for t in registered]) @ units.T
-    np.clip(feature, 0.0, 2.0, out=feature)
+    np.minimum(np.maximum(feature, 0.0, out=feature), 2.0, out=feature)  # np.clip, without its Python dispatch
     track_x, track_y = np.array([t.center for t in registered], dtype=float).T
     dx, dy = track_x[:, None] - centers[:, 0], track_y[:, None] - centers[:, 1]
     return DistanceMatrices(feature, np.sqrt(dx * dx + dy * dy))
@@ -171,7 +171,7 @@ class Tracker:
         ids are never reused.
         """
         evicted = self._evict(frame_id - 1)
-        units = embeddings / np.linalg.norm(embeddings, axis=1, keepdims=True)
+        units = embeddings / np.sqrt(np.add.reduce(embeddings * embeddings, axis=1, keepdims=True))  # = linalg.norm
         matrices = build_matrices(self.objects, units, centers)
         result = associate(matrices, self.config)
         points = list(map(tuple, centers.tolist()))

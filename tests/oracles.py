@@ -11,6 +11,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from headcount.counter import is_number_row, quote
+from headcount.ingest import EmbeddingDimensionError
+
 
 def feature_distance(a, b):
     """Cosine distance between two embeddings, one component at a time.
@@ -29,6 +32,26 @@ def feature_distance(a, b):
         raise ValueError("cosine distance is undefined for a zero vector")
     dist = 1.0 - sum(x * y for x, y in zip(va, vb)) / (norm_a * norm_b)
     return min(2.0, max(0.0, dist))
+
+
+def emb_block_by_rule(rows):
+    """The per-element `emb` rule, one row at a time: every row must pass
+    `is_number_row` (a list or tuple of values typed as numbers, so a bool,
+    null, string or nested array is refused whatever its value), then the rows
+    become one float block by `np.array(rows, dtype=float)`. Raises the
+    parser's ValueError for a refused row and EmbeddingDimensionError for
+    rows of different lengths, with the parser's messages. It calls the
+    library's `is_number_row` on purpose: that is the rule the parser's
+    inferred pass must equal, not the code under test.
+    """
+    for row in rows:
+        if not is_number_row(row):
+            raise ValueError(f"emb must be a flat array of numbers, got {quote.repr(row)}")
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError:
+        lengths = sorted(set(len(row) for row in rows))
+        raise EmbeddingDimensionError(f"emb lengths {quote.repr(lengths)} differ within one frame") from None
 
 
 def spatial_distance(p, q):

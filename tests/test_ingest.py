@@ -1,6 +1,8 @@
 import io
 import json
+import random
 import re
+from array import array
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -25,8 +27,8 @@ from headcount.ingest import (
     write_stream,
 )
 from headcount.engine import run, run_frames
-from headcount.simulator import generate, make_scenario
-from oracles import ir_lighting_mode
+from headcount.simulator import NoiseSpec, catalog_names, generate, make_scenario
+from oracles import emb_block_by_rule, ir_lighting_mode
 
 
 def head(conf=0.95, box=(0.4, 0.4, 0.5, 0.5), emb=(1.0, 0.0)):
@@ -121,6 +123,16 @@ class TestDetectionRecord:
     def test_embedding_number_rule(self, emb):
         with pytest.raises(ValueError):
             Detections.from_rows([head(), (DetectionClass.HEAD, 0.9, (0.1, 0.1, 0.2, 0.2), emb)])
+
+    @pytest.mark.parametrize(
+        "emb",
+        [[np.array(0.6), 0.8], array("d", [0.6, 0.8]), range(2, 4), memoryview(np.array([0.6, 0.8]))],
+        ids=["0d_array_element", "array_d", "range", "memoryview"],
+    )
+    def test_python_rows_keep_the_per_element_rule(self, emb):
+        # numpy would read each of these as a float row; the rule refuses them by type.
+        with pytest.raises(ValueError, match="emb must be a flat array of numbers"):
+            Detections.from_rows([head(emb=(0.6, 0.8)), (DetectionClass.HEAD, 0.9, (0.1, 0.1, 0.2, 0.2), emb)])
 
     def test_integers_are_numbers(self):
         dets = Detections.from_rows([head(emb=(2, 0)), (DetectionClass.BAG, 1, (0, 0, 1, 1), [10**30, 1])])
@@ -645,6 +657,83 @@ frames_strategy = st.builds(
 )
 
 
+# JSON values swapped into `emb` components: bools, null, a string and an array
+# (refused by the rule), exact 0s and 1s (where a bool would hide), integers past
+# int64 and past float range, and the non-finite values json.loads accepts.
+EMB_SWAPS = [
+    "true", "false", "null", '"0.5"', "[0.5]", "0", "1", "-0.0", "0.0", "1.0",
+    "9223372036854775808", "18446744073709551615", "9007199254740993", "1" * 401, "NaN", "-Infinity",
+]
+
+
+def emb_case_lines(seed=29, per_swap=12):
+    """Seeded frame lines, each to be the second frame of a 4-d stream: emb components
+    swapped for every EMB_SWAPS value, then all-int, all-bool, ragged and empty rows."""
+    rng = random.Random(seed)
+
+    def line(rows, chair_rows=()):
+        dets = [{"class": "head", "conf": 0.9, "box": [0.1, 0.1, 0.2, 0.2], "emb": "@"} for _ in rows]
+        dets += [{"class": "chair", "conf": 0.8, "box": [0.5, 0.5, 0.6, 0.6], "emb": "@"} for _ in chair_rows]
+        if rng.random() < 0.5:
+            bag = {"class": "bag", "conf": 0.7, "box": [0.2, 0.2, 0.3, 0.3]}
+            dets.insert(rng.randrange(len(dets) + 1), bag)
+        text = json.dumps({"frame_id": 1, "ts_ms": 40, "detections": dets}, separators=(",", ":"))
+        for row in (*rows, *chair_rows):
+            text = text.replace('"@"', "[" + ",".join(row) + "]", 1)
+        return text
+
+    def floats(d=4):
+        return [repr(rng.uniform(-2.0, 2.0)) for _ in range(d)]
+
+    for token in EMB_SWAPS:
+        for _ in range(per_swap):
+            rows = [floats() for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(1, 2)):
+                rng.choice(rows)[rng.randrange(4)] = token
+            yield line(rows[:-1], rows[-1:]) if rng.random() < 0.3 else line(rows)
+    for _ in range(per_swap):
+        for low in (0, 2):  # all-int rows with and without a 0 or 1, some past 2**53
+            values = [rng.randint(low, 9), -rng.randint(max(low, 1), 9), 2**53 + rng.randint(1, 9)]
+            yield line([[str(rng.choice(values)) for _ in range(4)] for _ in range(rng.randint(1, 3))])
+        yield line([[rng.choice(["true", "false"]) for _ in range(4)]])  # all-bool row
+        yield line([floats(), floats(rng.choice([3, 5]))])  # ragged
+        yield line([floats(), []])  # ragged, one row empty
+        yield line([[] for _ in range(rng.randint(1, 3))])  # empty rows
+
+
+def parse_outcome(text):
+    """The second frame's embeddings as (shape, int64 bits, has_embedding), or the refusal."""
+    try:
+        frames = list(parse_stream(io.StringIO(text)))
+    except StreamError as exc:
+        return type(exc), str(exc), exc.line_number
+    emb = frames[-1].detections
+    assert emb.embeddings.dtype == np.float64
+    return emb.embeddings.shape, emb.embeddings.view(np.int64).tolist(), emb.has_embedding.tolist()
+
+
+class TestJsonEmbeddingBlock:
+    """The parser reads a frame's JSON `emb` rows in one inferred numpy pass; it
+    must give the per-element rule's block bit for bit, or its refusal."""
+
+    def test_matches_the_per_element_rule(self, monkeypatch):
+        first = json.dumps(frame_obj(0, 0, [det_obj(emb=(0.6, 0.8, 0.5, 0.5))]))
+        rng = random.Random(7)  # blank lines before each frame move the line numbers
+        texts = [
+            "\n" * rng.randrange(3) + first + "\n" * rng.randint(1, 3) + case + "\n" for case in emb_case_lines()
+        ]
+        fast = [parse_outcome(text) for text in texts]
+        monkeypatch.setattr(
+            "headcount.ingest._embedding_block", lambda rows, from_json=False: emb_block_by_rule(rows)
+        )
+        kinds = set()
+        for text, got in zip(texts, fast):
+            assert got == parse_outcome(text), text
+            kinds.add(got[1].split(": ", 1)[1][:20] if isinstance(got[0], type) else "accepted")
+        # The cases reach every outcome: a block, a refused row, a ragged frame, a non-finite value.
+        assert {"accepted", "emb must be a flat a", "emb lengths [3, 4] d", "embedding components"} <= kinds
+
+
 class TestRoundTrip:
     @settings(max_examples=60)
     @given(frames_strategy)
@@ -662,6 +751,28 @@ class TestRoundTrip:
         assert a.boxes.tobytes() == b.boxes.tobytes()
         assert a.has_embedding.tolist() == b.has_embedding.tolist()
         assert np.array_equal(a.embeddings, b.embeddings)
+
+    @pytest.mark.parametrize("noisy", [False, True], ids=["basis_rows", "noisy_rows"])
+    @pytest.mark.parametrize("name", [n for n in catalog_names() if n != "dropout_<k>"] + ["dropout_3"])
+    def test_parsed_columns_equal_the_generated_columns(self, name, noisy):
+        # Basis rows hold exact 0s and 1s, so they take the per-element rule; noisy rows take the
+        # inferred JSON pass. Either way the parsed columns are the generated ones, bit for bit.
+        spec = make_scenario(name, 16)
+        if noisy:
+            spec = replace(spec, noise=NoiseSpec(embedding_noise_sigma=0.05, center_jitter_sigma=0.01))
+        frames, _ = generate(spec)
+        embedded = [frame.detections.embeddings[frame.detections.has_embedding] for frame in frames]
+        assert any(np.isin(block, (0, 1)).any() for block in embedded) is not noisy
+        buf = io.StringIO()
+        write_stream(frames, buf)
+        parsed = list(parse_stream(io.StringIO(buf.getvalue())))
+        assert len(parsed) == len(frames)
+        for got, want in zip(parsed, frames):
+            a, b = got.detections, want.detections
+            assert a.labels == b.labels
+            for column in ("confidences", "boxes", "embeddings", "has_embedding"):
+                x, y = getattr(a, column), getattr(b, column)
+                assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), column
 
     def test_write_stream_round_trip(self):
         frames = [
