@@ -150,8 +150,7 @@ class Engine:
         self._last = check_frame(frame, self._last)
         mode = frame.lighting
         self.lighting_counts[mode.value if mode is not None else "unknown"] += 1
-        kept = filter_heads(frame, self.config.min_confidence)
-        dets = frame.detections
+        kept, dets = filter_heads(frame, self.config.min_confidence), frame.detections
         kept = kept if len(kept) < len(dets) else slice(None)  # every row kept: views, not copies
         self.tracker.step(dets.embeddings[kept], dets.centers[kept], frame.frame_id)
         events: list[CrossingEvent] = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
@@ -87,16 +87,18 @@ def validate_embedding(block: np.ndarray) -> None:
         raise ValueError("embedding has zero norm: cosine distance is undefined for a zero vector")
 
 
-def _embedding_block(rows: list, from_json: bool = False) -> np.ndarray:
+def _embedding_block(rows: list, from_json: bool) -> np.ndarray:
     """The `emb` number rule: number-typed values (`is_number_row`), rows of one length, as an (n, d) float block.
-    JSON-built rows first try one inferred pass, kept only as a 2-D int or float block without a 0 or 1."""
-    if from_json:  # of the JSON values only a bool hides in an int or float block, as exactly 0 or 1
+    JSON rows whose first values hold no 0 or 1 try one inferred pass, which type-checks only rows holding a 0 or 1."""
+    if from_json and type(rows[0]) is list and not (0 in rows[0][:8] or 1 in rows[0][:8]):
         try:
             block = np.array(rows)
         except ValueError:  # ragged rows, or nested past numpy's dimension limit
             block = np.empty(0)
-        if block.ndim == 2 and block.dtype.kind in "if" and not ((block == 0).any() or (block == 1).any()):
-            return block.astype(float, copy=False)
+        if block.ndim == 2 and block.dtype.kind in "if":  # of the JSON values only a bool hides here, as 0 or 1
+            suspects = compress(rows, ((block == 0) | (block == 1)).any(axis=1).tolist())
+            if bool not in set(map(type, chain.from_iterable(suspects))):
+                return block.astype(float, copy=False)
     for row in rows:
         if not is_number_row(row):
             raise ValueError(f"emb must be a flat array of numbers, got {quote.repr(row)}")
@@ -125,8 +127,7 @@ class Detections:
         if shapes != ((n,), (n, 4), (n,)) or self.embeddings.ndim != 2 or len(self.embeddings) != n:
             raise ValueError(f"every column must hold one row for each of the {n} detections")
         # Scalar checks: on a frame's few rows they cost less than array operations.
-        flags = self.has_embedding.tolist()
-        rows = zip(self.labels, self.confidences.tolist(), self.boxes.tolist(), flags)
+        rows = zip(self.labels, self.confidences.tolist(), self.boxes.tolist(), flags := self.has_embedding.tolist())
         for i, (label, conf, (x0, y0, x1, y1), has_emb) in enumerate(rows):
             if not 0.0 <= conf <= 1.0:
                 rule = "confidence must be in [0, 1]"

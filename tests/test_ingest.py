@@ -668,7 +668,7 @@ EMB_SWAPS = [
 
 def emb_case_lines(seed=29, per_swap=12):
     """Seeded frame lines, each to be the second frame of a 4-d stream: emb components
-    swapped for every EMB_SWAPS value, then all-int, all-bool, ragged and empty rows."""
+    swapped for every EMB_SWAPS value, then all-int, all-bool, bool-among-int, ragged and empty rows."""
     rng = random.Random(seed)
 
     def line(rows, chair_rows=()):
@@ -696,6 +696,9 @@ def emb_case_lines(seed=29, per_swap=12):
             values = [rng.randint(low, 9), -rng.randint(max(low, 1), 9), 2**53 + rng.randint(1, 9)]
             yield line([[str(rng.choice(values)) for _ in range(4)] for _ in range(rng.randint(1, 3))])
         yield line([[rng.choice(["true", "false"]) for _ in range(4)]])  # all-bool row
+        ints = [[str(rng.randint(2, 9)) for _ in range(4)] for _ in range(rng.randint(2, 3))]
+        rng.choice(ints[1:])[rng.randrange(4)] = rng.choice(["true", "false"])
+        yield line(ints)  # a bool among ints, past a first row without a 0 or 1
         yield line([floats(), floats(rng.choice([3, 5]))])  # ragged
         yield line([floats(), []])  # ragged, one row empty
         yield line([[] for _ in range(rng.randint(1, 3))])  # empty rows
@@ -724,7 +727,7 @@ class TestJsonEmbeddingBlock:
         ]
         fast = [parse_outcome(text) for text in texts]
         monkeypatch.setattr(
-            "headcount.ingest._embedding_block", lambda rows, from_json=False: emb_block_by_rule(rows)
+            "headcount.ingest._embedding_block", lambda rows, from_json: emb_block_by_rule(rows)
         )
         kinds = set()
         for text, got in zip(texts, fast):
