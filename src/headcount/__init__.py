@@ -51,7 +51,6 @@ from .ingest import (
     filter_heads,
     parse_stream,
     serialize_frame,
-    validate_embedding,
     write_stream,
 )
 from .simulator import (

@@ -131,14 +131,13 @@ def latency_to_dict(latency: dict[int, LatencyStats]) -> dict:
 
 
 class Engine:
-    """Single-stream pipeline state: tracker, ledger, lighting tallies, frame latency."""
+    """Single-stream pipeline state: tracker, ledger, lighting tallies (one per admitted frame), frame latency."""
 
     def __init__(self, config: Optional[EngineConfig] = None):
         self.config = config or EngineConfig()
         self.tracker = Tracker(self.config.tracker)
         self.ledger = CountLedger()
         self.lighting_counts = {"day": 0, "night": 0, "unknown": 0}
-        self.frames_processed = 0
         self._last: StreamState = (None, None, self.config.embedding_dim)
         self.latency = LatencyRecorder()
 
@@ -160,7 +159,6 @@ class Engine:
             if event is not None:
                 tally(self.ledger, event)
                 events.append(event)
-        self.frames_processed += 1
         self.latency.add(len(self.tracker.objects), time.perf_counter_ns() - t0)
         return events
 
@@ -212,7 +210,7 @@ def run_frames(frames: Iterable[FrameRecord], config: Optional[EngineConfig] = N
     result = RunResult(
         ledger=engine.ledger,
         latency=engine.latency.report(),
-        frames=engine.frames_processed,
+        frames=sum(engine.lighting_counts.values()),  # each admitted frame is tallied once
         lighting_counts=engine.lighting_counts,
         track_ids_issued=engine.tracker.ids_issued,
     )

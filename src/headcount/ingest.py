@@ -13,10 +13,10 @@ distraction classes (chair, trolley, bag). Box coordinates are normalized to
 [0, 1] with the origin at the top-left and y growing downward, which keeps
 every downstream threshold independent of camera resolution.
 
-Each frame's detections become one `Detections` block of columns, validated
-here, once, as it enters: the tracker and counter trust what `parse_stream`
-yields; it reads a frame's JSON `emb` rows in one inferred numpy pass, exact by
-`_embedding_block`'s check. Embeddings default to DEFAULT_EMBEDDING_DIM components.
+Each frame's detections become one `Detections` block of float64 columns and a bool
+mask, which states and checks the embedding rule itself, once, as the frame enters:
+the tracker and counter trust what `parse_stream` yields. The parser reads a frame's
+JSON `emb` rows in one inferred numpy pass, exact by `_embedding_block`'s check.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from .counter import check_number, is_count, is_number_row, quote, write_lines
 
-DEFAULT_EMBEDDING_DIM = 1024
+DEFAULT_EMBEDDING_DIM = 1024  # components per simulated embedding unless a scenario sets another
 
 
 class DetectionClass(Enum):
@@ -75,18 +75,6 @@ class EmbeddingDimensionError(StreamError):
     """All embeddings in one stream must share a single dimension (`check_frame`)."""
 
 
-def validate_embedding(block: np.ndarray) -> None:
-    """The embedding rule for an (n, d) block: d >= 1, and each row's squares sum to less than
-    inf (all finite, no overflow) and more than 0 (not zero, not all underflowing)."""
-    if block.ndim != 2 or (len(block) > 0 and block.shape[1] == 0):
-        raise ValueError("embedding must have at least one component")
-    squares = np.einsum("ij,ij->i", block, block)
-    if np.count_nonzero(squares < np.inf) < len(block):
-        raise ValueError("embedding components must be finite and their squares must sum below the float64 limit")
-    if np.count_nonzero(squares > 0.0) < len(block):
-        raise ValueError("embedding has zero norm: cosine distance is undefined for a zero vector")
-
-
 def _embedding_block(rows: list, from_json: bool) -> np.ndarray:
     """The `emb` number rule: number-typed values (`is_number_row`), rows of one length, as an (n, d) float block.
     JSON rows whose first values hold no 0 or 1 try one inferred pass, which type-checks only rows holding a 0 or 1."""
@@ -111,9 +99,10 @@ def _embedding_block(rows: list, from_json: bool) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Detections:
-    """One frame's detections as columns, row i of each being detection i, and
-    validated once, here. `boxes` rows are (x_min, y_min, x_max, y_max); an
-    `embeddings` row is zeros where `has_embedding` is false. Build with `from_rows`."""
+    """One frame's detections as columns (build with `from_rows`), row i of each being detection i, validated
+    once, here. `confidences`, `boxes` (rows x_min, y_min, x_max, y_max) and `embeddings` are float64 arrays and
+    `has_embedding` a bool array. An `embeddings` row is zeros where `has_embedding` is false; any other has d >= 1
+    components whose squares sum below inf (all finite, no overflow) and above 0 (not zero, not all underflowing)."""
 
     labels: tuple[DetectionClass, ...]
     confidences: np.ndarray
@@ -122,12 +111,17 @@ class Detections:
     has_embedding: np.ndarray
 
     def __post_init__(self):
+        for name, dtype in (("confidences", float), ("boxes", float), ("embeddings", float), ("has_embedding", bool)):
+            column = getattr(self, name)  # first: only a bool mask selects the rows the checks below read
+            if not (isinstance(column, np.ndarray) and column.dtype == dtype):
+                got = f"dtype {column.dtype}" if isinstance(column, np.ndarray) else f"type {type(column).__name__}"
+                raise ValueError(f"{name} must be a {np.dtype(dtype)} ndarray, got {got}")
         n = len(self.labels)
         shapes = (self.confidences.shape, self.boxes.shape, self.has_embedding.shape)
         if shapes != ((n,), (n, 4), (n,)) or self.embeddings.ndim != 2 or len(self.embeddings) != n:
             raise ValueError(f"every column must hold one row for each of the {n} detections")
         # Scalar checks: on a frame's few rows they cost less than array operations.
-        rows = zip(self.labels, self.confidences.tolist(), self.boxes.tolist(), flags := self.has_embedding.tolist())
+        rows = zip(self.labels, self.confidences.tolist(), self.boxes.tolist(), self.has_embedding.tolist())
         for i, (label, conf, (x0, y0, x1, y1), has_emb) in enumerate(rows):
             if not 0.0 <= conf <= 1.0:
                 rule = "confidence must be in [0, 1]"
@@ -138,7 +132,13 @@ class Detections:
             else:
                 continue
             raise ValueError(f"detection {i}: {rule}, got conf {conf} and box {[x0, y0, x1, y1]}")
-        validate_embedding(self.embeddings if all(flags) else self.embeddings[self.has_embedding])
+        squares = np.einsum("ij,ij->i", self.embeddings, self.embeddings)[self.has_embedding]
+        if len(squares) and not self.embeddings.shape[1]:
+            raise ValueError("embedding must have at least one component")
+        if np.count_nonzero(squares < np.inf) < len(squares):
+            raise ValueError("embedding components must be finite and their squares must sum below the float64 limit")
+        if np.count_nonzero(squares > 0.0) < len(squares):
+            raise ValueError("embedding has zero norm: cosine distance is undefined for a zero vector")
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple] = ()) -> "Detections":

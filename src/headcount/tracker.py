@@ -64,10 +64,10 @@ class DistanceMatrices:
 
 @dataclass
 class AssignmentResult:
-    """Partition of track rows and detection columns after one association."""
+    """One association: the matched (track row, detection column) pairs in the order the walk took
+    them, and the detection columns left unmatched, ascending. A track row in no pair went unmatched."""
 
     matches: list[tuple[int, int]]
-    unmatched_registered: list[int]
     unmatched_detections: list[int]
 
 
@@ -99,8 +99,8 @@ def associate(matrices: DistanceMatrices, config: TrackerConfig) -> AssignmentRe
     distance, ties resolving to the lowest row, then lowest column; one walk
     over that order matches each cell whose row and column are both still
     free, and stops once min(rows, cols) pairs are matched. This is the
-    matching a repeated global argmin would make, at O(mn log mn) cost. The
-    matrices are left unchanged.
+    matching a repeated global argmin would make, at O(mn log mn) cost. It
+    returns the pairs and the unmatched detection columns, and leaves the matrices unchanged.
     """
     feature = matrices.feature
     if feature.shape != matrices.spatial.shape:
@@ -123,11 +123,7 @@ def associate(matrices: DistanceMatrices, config: TrackerConfig) -> AssignmentRe
         matches.append((i, j))
         used_rows.add(i)
         used_cols.add(j)
-    return AssignmentResult(
-        matches=matches,
-        unmatched_registered=[i for i in range(m) if i not in used_rows],
-        unmatched_detections=[j for j in range(n) if j not in used_cols],
-    )
+    return AssignmentResult(matches=matches, unmatched_detections=[j for j in range(n) if j not in used_cols])
 
 
 @dataclass

@@ -66,7 +66,9 @@ def test_criterion_02_association_oracle_equivalence():
         expected = greedy_gated_assignment(feature.tolist(), spatial.tolist(), t, d)
         config = hc.TrackerConfig(feature_threshold=t, spatial_threshold=d)
         got = hc.associate(hc.DistanceMatrices(feature.copy(), spatial), config)
-        if (got.matches, got.unmatched_registered, got.unmatched_detections) != expected:
+        matched_rows = {i for i, _ in got.matches}
+        unmatched_rows = [i for i in range(m) if i not in matched_rows]
+        if (got.matches, unmatched_rows, got.unmatched_detections) != expected:
             mismatches += 1
         cases += 1
     elapsed = time.perf_counter() - t0

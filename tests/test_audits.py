@@ -58,11 +58,8 @@ def optimal_associate(matrices, config):
     matches, _ = min_cost_assignment(
         matrices.feature, matrices.spatial, config.feature_threshold, config.spatial_threshold
     )
-    m, n = matrices.feature.shape
-    rows, columns = {i for i, _ in matches}, {j for _, j in matches}
-    return AssignmentResult(
-        matches, [i for i in range(m) if i not in rows], [j for j in range(n) if j not in columns]
-    )
+    columns = {j for _, j in matches}
+    return AssignmentResult(matches, [j for j in range(matrices.feature.shape[1]) if j not in columns])
 
 
 @pytest.fixture(scope="module")

@@ -34,7 +34,7 @@ from headcount.ingest import (
     StreamOrderError,
     write_stream,
 )
-from headcount.simulator import NoiseSpec, generate, make_scenario, random_crossings
+from headcount.simulator import NoiseSpec, catalog_names, generate, make_scenario, random_crossings
 from headcount.tracker import TrackerConfig
 from oracles import latency_percentiles
 
@@ -149,6 +149,28 @@ class TestRun:
         assert report["ledger"]["ins"] == 1
         assert report["frames"] == 60
         assert "latency" in report and "groups" in report["latency"]
+
+
+def frame_counts(result):
+    """A run's frames, as `RunResult.frames`, its lighting tallies and its latency samples count them."""
+    return result.frames, sum(result.lighting_counts.values()), sum(s.samples for s in result.latency.values())
+
+
+class TestFrameCount:
+    @pytest.mark.parametrize("name", [n for n in catalog_names() if n != "dropout_<k>"] + ["dropout_3"])
+    def test_each_admitted_frame_is_counted_once(self, name):
+        frames, _ = generate(make_scenario(name, DIM))
+        text = io.StringIO()
+        write_stream(frames, text)
+        for result in (run(io.StringIO(text.getvalue())), run_frames(frames)):
+            assert frame_counts(result) == (len(frames),) * 3
+
+    def test_a_refused_stream_counts_the_frames_before_it(self):
+        lines = stream_for("crossing_pair")[0].getvalue().splitlines()
+        with pytest.raises(StreamError) as info:
+            run(lines[:2] + ["{not json"] + lines[2:])
+        assert info.value.line_number == 3
+        assert frame_counts(info.value.result) == (2, 2, 2)
 
 
 class TestEngineConfig:
@@ -539,7 +561,6 @@ class TestFrameGaps:
         with pytest.raises(StreamOrderError):
             engine.process_frame(frames[0])
         assert engine.lighting_counts == {"day": 0, "night": 0, "unknown": 1}
-        assert engine.frames_processed == 1
         assert engine.tracker.ids_issued == issued
 
     @pytest.mark.parametrize("late", [FrameRecord(2**63, 10_000), FrameRecord(-(2**63) - 1, 10_000),
@@ -562,7 +583,6 @@ class TestFrameGaps:
         with pytest.raises(StreamOrderError):
             engine.process_frame(FrameRecord(2**63, 0, Detections.from_rows([head]), LightingMode.DAY))
         assert engine.lighting_counts == {"day": 0, "night": 0, "unknown": 0}
-        assert engine.frames_processed == 0
         assert engine.tracker.objects == [] and engine.tracker.ids_issued == 0
 
     @pytest.mark.parametrize("frame_id", [4, 3])
@@ -644,7 +664,7 @@ class TestStreamRule:
 
         def state():
             tracks = [(t.id, t.last_seen, t.center) for t in engine.tracker.objects]
-            return (engine.ledger.snapshot(), engine.frames_processed, dict(engine.lighting_counts),
+            return (engine.ledger.snapshot(), dict(engine.lighting_counts),
                     engine.tracker.ids_issued, tracks)
 
         before = state()

@@ -1,16 +1,23 @@
-"""Every `src/headcount` module imports only names that it uses, and no
-module imports another's private (`_`-prefixed) name.
+"""Every `src/headcount` module imports only names that it uses, no module
+imports another's private (`_`-prefixed) name, and every function or class
+that a module defines is named somewhere else in the project.
 
 No linter is a dependency, so this stdlib `ast` pass is what catches an import
-left behind by a cut. `__init__.py` is skipped: its imports are the public API.
+left behind by a cut, or a helper whose last caller was folded away.
+`__init__.py` is skipped: its imports are the public API, so a re-export there
+is not a use.
 """
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "headcount"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "headcount"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+SEARCHED = ("src", "tests", "demos", "perfbench")
 
 
 def unused_imports(source):
@@ -55,6 +62,19 @@ def private_imports(source):
     ]
 
 
+def dead_names(defined, searched):
+    """Functions and classes defined in the `defined` sources whose name is no word of the
+    `searched` texts except at their own definitions. Dunder methods are Python's to call."""
+    names = Counter(
+        node.name
+        for source in defined
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("__")
+    )
+    words = Counter(word for text in searched for word in re.findall(r"\w+", text))
+    return sorted(name for name, definitions in names.items() if words[name] <= definitions)
+
+
 def test_modules_found():
     assert len(MODULES) >= 6, MODULES
 
@@ -92,3 +112,26 @@ def test_finds_a_private_import_from_a_sibling_module():
         "from .counter import quote as _quote\n"
     )
     assert private_imports(source) == [(2, "_CLASSES"), (3, "_helpers")]
+
+
+def test_every_defined_name_is_used_somewhere():
+    texts = [
+        path.read_text(encoding="utf-8")
+        for folder in SEARCHED
+        for path in sorted((ROOT / folder).rglob("*.py"))
+        if path != SRC / "__init__.py"
+    ]
+    assert dead_names([path.read_text(encoding="utf-8") for path in MODULES], texts) == []
+
+
+def test_finds_a_name_only_its_definition_holds():
+    source = (
+        "class Kept:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def spare(self):\n"
+        "        pass\n"
+        "def helper():\n"
+        "    return Kept()\n"
+    )
+    assert dead_names([source], [source, "from pkg import helper, spares\n"]) == ["spare"]

@@ -23,7 +23,6 @@ from headcount.ingest import (
     filter_heads,
     parse_stream,
     serialize_frame,
-    validate_embedding,
     write_stream,
 )
 from headcount.engine import run, run_frames
@@ -37,6 +36,18 @@ def head(conf=0.95, box=(0.4, 0.4, 0.5, 0.5), emb=(1.0, 0.0)):
 
 def chair(conf=0.89, box=(0.1, 0.1, 0.2, 0.2), emb=None):
     return (DetectionClass.CHAIR, conf, box, emb)
+
+
+def frame_columns(**changes):
+    """A valid head, chair and bag frame's five `Detections` columns, with `changes` swapped in."""
+    columns = dict(
+        labels=(DetectionClass.HEAD, DetectionClass.CHAIR, DetectionClass.BAG),
+        confidences=np.array([0.9, 0.8, 0.7]),
+        boxes=np.array([[0.1, 0.1, 0.2, 0.2], [0.3, 0.3, 0.4, 0.4], [0.5, 0.5, 0.6, 0.6]]),
+        embeddings=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]),
+        has_embedding=np.array([True, False, True]),
+    )
+    return {**columns, **changes}
 
 
 def frame_of(*rows):
@@ -91,10 +102,10 @@ class TestDetectionRecord:
             Detections.from_rows([head(), head(emb=(1.0, float("nan")))])
         with pytest.raises(ValueError, match="zero vector"):
             Detections.from_rows([head(), chair(emb=(0.0, 0.0))])
-        with pytest.raises(ValueError):
-            validate_embedding(np.zeros((1, 0)))
-        with pytest.raises(ValueError):
-            validate_embedding(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="^embedding must have at least one component$"):
+            Detections.from_rows([head(emb=()), chair()])
+        with pytest.raises(ValueError, match="zero vector"):
+            Detections.from_rows([head(), head(emb=(0.0, 0.0))])
 
     @pytest.mark.parametrize(
         "row, message",
@@ -109,9 +120,53 @@ class TestDetectionRecord:
         ids=["nan", "inf", "minus_inf", "overflow", "zero", "underflow"],
     )
     def test_embedding_rule_refuses_a_row(self, row, message):
-        # One row of the block breaks the rule: the block is refused whatever its other rows are.
+        # One embedded row breaks the rule: the frame is refused whatever its other rows are.
         with pytest.raises(ValueError, match=message):
-            validate_embedding(np.array([[1.0, 0.5], row, [0.0, 2.0]]))
+            Detections.from_rows([head(emb=(1.0, 0.5)), chair(), head(emb=row), chair(emb=(0.0, 2.0))])
+
+    def test_embedding_rule_reads_the_mask_rows_only(self):
+        # The messages keep their order: the row rules, then width, then finiteness, then zero norm.
+        block = np.array([[0.0, 0.0], [float("nan"), 0.0], [1.0, 0.0]])
+        bags = (DetectionClass.BAG,) * 3  # any row may go without an embedding
+        frame = frame_columns(labels=bags, embeddings=block, has_embedding=np.ones(3, dtype=bool))
+        with pytest.raises(ValueError, match="^detection 2: confidence must be in"):
+            Detections(**{**frame, "confidences": np.array([0.9, 0.8, 1.5])})
+        with pytest.raises(ValueError, match="must be finite"):
+            Detections(**frame)
+        frame["has_embedding"] = np.array([True, False, True])
+        with pytest.raises(ValueError, match="zero norm"):
+            Detections(**frame)
+        frame["has_embedding"] = np.array([False, False, True])
+        assert Detections(**frame).embeddings is block
+        with pytest.raises(ValueError, match="at least one component"):
+            Detections(**frame_columns(embeddings=np.zeros((3, 0))))
+        assert len(Detections(**frame_columns(labels=bags, embeddings=np.zeros((3, 0)),
+                                              has_embedding=np.zeros(3, dtype=bool)))) == 3
+
+    @pytest.mark.parametrize(
+        "name, value, got",
+        [
+            ("embeddings", np.array([[True, False], [False, True], [True, True]]), "dtype bool"),
+            ("confidences", np.array([True, True, True]), "dtype bool"),
+            ("embeddings", np.eye(3, 2, dtype=np.float32), "dtype float32"),
+            ("boxes", np.array([[0, 0, 1, 1]] * 3), "dtype int64"),
+            ("embeddings", np.array([["1.0", "0.0"]] * 3), "dtype <U3"),
+            ("embeddings", np.array([[2**62, 0]] * 3), "dtype int64"),  # its squares wrap to 0
+            ("has_embedding", np.array([0.5, 0.0, 1.0]), "dtype float64"),
+            ("has_embedding", np.array([1, 0, 1]), "dtype int64"),  # would index rows 1, 0 and 1
+            ("confidences", [0.9, 0.8, 0.7], "type list"),
+            ("has_embedding", (True, False, True), "type tuple"),
+            ("embeddings", np.float64(1.0), "type float64"),
+        ],
+        ids=["bool_block", "bool_confidences", "float32_block", "int_boxes", "string_block", "int_block",
+             "float_mask", "int_mask", "list_confidences", "tuple_mask", "scalar_block"],
+    )
+    def test_columns_are_refused_by_dtype_and_name(self, name, value, got):
+        # A head, a chair and a bag that are valid with float64 columns and a bool mask.
+        Detections(**frame_columns())
+        dtype = "bool" if name == "has_embedding" else "float64"
+        with pytest.raises(ValueError, match=f"^{name} must be a {dtype} ndarray, got {re.escape(got)}$"):
+            Detections(**frame_columns(**{name: value}))
 
     @pytest.mark.parametrize(
         "emb",
@@ -636,7 +691,7 @@ class TestFrozenFrameRecord:
             replace(frame, lighting="dusk")
 
 
-# zero-norm embeddings are invalid input, rejected by validate_embedding
+# zero-norm embeddings are invalid input, which `Detections` refuses
 embedding_strategy = st.lists(
     st.floats(-10, 10, allow_nan=False, allow_infinity=False), min_size=2, max_size=2
 ).map(np.asarray).filter(lambda v: v @ v > 0.0)
